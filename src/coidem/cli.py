@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from . import lattice as lattice_mod
 from .lattice import LatticeCapExceeded, enumerate_submodules
 from .modules import ZModule
 from .predicates import (
@@ -167,11 +165,7 @@ def cmd_enumerate(args) -> int:
     module = parse_module(ring, args.module)
     if isinstance(module, ZModule):
         raise SpecError("the lattice of Z (all tZ) is infinite; enumerate finite modules")
-    try:
-        lat = enumerate_submodules(module, cap=args.lattice_cap)
-    except LatticeCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lat = enumerate_submodules(module, cap=args.lattice_cap)
     ci = set(lat.completely_irreducible_indexes)
     rows = []
     for i, sub in enumerate(lat.all):
@@ -209,13 +203,16 @@ def cmd_enumerate(args) -> int:
 
 def _parse_moduli(text: str) -> tuple[int, ...]:
     out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if "-" in chunk:
-            lo, hi = chunk.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif chunk:
-            out.append(int(chunk))
+    try:
+        for chunk in text.split(","):
+            chunk = chunk.strip()
+            if "-" in chunk:
+                lo, hi = chunk.split("-", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif chunk:
+                out.append(int(chunk))
+    except ValueError:
+        raise SpecError(f"bad moduli spec {text!r}") from None
     if not out or any(n < 2 for n in out):
         raise SpecError(f"bad moduli spec {text!r}")
     return tuple(out)
@@ -286,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coidem",
         description="Exact decision procedures for coidempotent-style submodule properties.",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="on-disk lattice cache directory (default: $COIDEM_CACHE_DIR if set)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide one property")
@@ -338,12 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get("COIDEM_CACHE_DIR")
-    if cache_dir:
-        lattice_mod.set_default_cache_dir(cache_dir)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, LatticeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

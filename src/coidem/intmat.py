@@ -46,14 +46,6 @@ def diagonal(values) -> Matrix:
     return tuple(tuple(values[i] if i == j else 0 for j in range(k)) for i in range(k))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(row[i] * b[i][j] for i in range(len(row))) for j in range(cols))
-        for row in a
-    )
-
-
 def vec_mat(x, b: Matrix) -> Vector:
     cols = len(b[0]) if b else 0
     return tuple(sum(x[i] * b[i][j] for i in range(len(x))) for j in range(cols))
@@ -160,29 +152,6 @@ def lattice_intersect(h1: Matrix, h2: Matrix, k: int) -> Matrix:
     big = hnf(rows, 2 * k)
     out = [row[k:] for row in big if not any(row[:k])]
     return hnf_square(out, k)
-
-
-def det(mat: Matrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(r) for r in mat]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            piv = next((r for r in range(i + 1, n) if a[r][i]), None)
-            if piv is None:
-                return 0
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
 
 
 def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -1,23 +1,16 @@
-"""Full submodule-lattice enumeration, completely irreducible detection,
-irredundant intersection decompositions, and an independent element-set oracle.
+"""Full submodule-lattice enumeration, completely irreducible detection and
+irredundant intersection decompositions.
 
 Enumeration strategy: split the module into p-primary components, enumerate
 each component's lattice by a closure fixpoint (start from 0, adjoin single
 elements, dedup by canonical Hermite basis), then glue across primes via CRT
 lifts; the subgroup lattice of a finite abelian group is the product of the
 lattices of its p-components.
-
-The oracle (`naive_oracle`) never touches the lattice machinery: it closes raw
-element sets under scalar action and addition, so the two routes agreeing is a
-meaningful check of the canonical-form arithmetic.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from functools import cached_property
+from functools import cache, cached_property
 
 import itertools
 
@@ -35,7 +28,6 @@ from .modules import (
 from .rings import factorize
 
 DEFAULT_CAP = 100_000
-CACHE_FORMAT = 1
 
 
 class LatticeCapExceeded(RuntimeError):
@@ -112,8 +104,13 @@ class SubmoduleLattice:
         return tuple(self.all[i] for i in self.completely_irreducible_indexes)
 
 
-def _p_component_bases(factors: tuple[int, ...], cap: int):
-    """All sublattice bases of ⊕ Z/f_i by closure fixpoint (any factor list)."""
+@cache
+def _p_component_bases_cached(factors: tuple[int, ...], cap: int):
+    """All sublattice bases of ⊕ Z/f_i by closure fixpoint (any factor list).
+
+    Cached on the factor shape and cap alone: the subgroup lattice of ⊕ Z/f_i
+    does not depend on which ambient ring the module lives over.
+    """
     k = len(factors)
     if k == 0:
         return [()]  # the empty basis of Z^0
@@ -142,16 +139,6 @@ def _p_component_bases(factors: tuple[int, ...], cap: int):
                         )
         frontier = fresh
     return sorted(found)
-
-
-from functools import cache
-
-
-@cache
-def _p_component_bases_cached(factors: tuple[int, ...]):
-    # keyed by the factor shape alone: the subgroup lattice of ⊕ Z/f_i does
-    # not depend on which ambient ring the module lives over
-    return _p_component_bases(factors, DEFAULT_CAP)
 
 
 def _crt_lift(residue: int, q: int, m: int) -> int:
@@ -184,10 +171,7 @@ def _modular_lattice_bases(m: FinModule, cap: int):
     component_bases = []
     total = 1
     for p, coords, pparts in per_prime:
-        if cap >= DEFAULT_CAP:
-            bases = _p_component_bases_cached(pparts)
-        else:
-            bases = _p_component_bases(pparts, cap)
+        bases = _p_component_bases_cached(pparts, cap)
         total *= len(bases)
         if total > cap:
             raise LatticeCapExceeded(
@@ -208,63 +192,18 @@ def _modular_lattice_bases(m: FinModule, cap: int):
     return out
 
 
-def _cache_path(cache_dir: str, m: AnyModule) -> str:
-    key = repr(m)
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return os.path.join(cache_dir, f"lattice_{digest}.json")
-
-
-def _cache_load(cache_dir: str, m: FinModule):
-    path = _cache_path(cache_dir, m)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if blob.get("format") != CACHE_FORMAT or blob.get("module") != repr(m):
-        return None
-    return [tuple(tuple(int(v) for v in row) for row in basis) for basis in blob["bases"]]
-
-
-def _cache_store(cache_dir: str, m: FinModule, bases):
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, m)
-    blob = {
-        "format": CACHE_FORMAT,
-        "module": repr(m),
-        "bases": [[list(row) for row in basis] for basis in bases],
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-    os.replace(tmp, path)
-
-
 _memory_cache: dict = {}
-_default_cache_dir: str | None = None
 
 
-def set_default_cache_dir(path: str | None):
-    """Directory for the on-disk lattice cache (None disables it)."""
-    global _default_cache_dir
-    _default_cache_dir = path
-
-
-def enumerate_submodules(
-    m: AnyModule, cap: int = DEFAULT_CAP, cache_dir: str | None = None
-) -> SubmoduleLattice:
+def enumerate_submodules(m: AnyModule, cap: int = DEFAULT_CAP) -> SubmoduleLattice:
     """The complete submodule lattice of a finite module."""
-    if cache_dir is None:
-        cache_dir = _default_cache_dir
     cached = _memory_cache.get(m)
     if cached is not None:
         if len(cached) > cap:
             raise LatticeCapExceeded(f"lattice has {len(cached)} > cap {cap} submodules")
         return cached
     if isinstance(m, ProductModule):
-        comp_lattices = [
-            enumerate_submodules(c, cap=cap, cache_dir=cache_dir) for c in m.components
-        ]
+        comp_lattices = [enumerate_submodules(c, cap=cap) for c in m.components]
         count = 1
         for cl in comp_lattices:
             count *= len(cl)
@@ -276,53 +215,12 @@ def enumerate_submodules(
         ]
         lattice = SubmoduleLattice(m, subs)
     else:
-        bases = None
-        if cache_dir:
-            bases = _cache_load(cache_dir, m)
-        if bases is None:
-            bases = _modular_lattice_bases(m, cap)
-            if cache_dir:
-                _cache_store(cache_dir, m, bases)
+        bases = _modular_lattice_bases(m, cap)
         if len(bases) > cap:
             raise LatticeCapExceeded(f"lattice has {len(bases)} > cap {cap} submodules")
         lattice = SubmoduleLattice(m, [Submodule(m, b) for b in bases])
     _memory_cache[m] = lattice
     return lattice
-
-
-def naive_oracle(m: AnyModule, max_order: int = 4096):
-    """Every submodule as a frozen set of elements, by raw element arithmetic.
-
-    Closes element sets under scalar action and addition only; no lattice or
-    canonical-form machinery is involved, so this is an independent route to
-    the same answer as `enumerate_submodules`.
-    """
-    if m.order > max_order:
-        raise LatticeCapExceeded(f"oracle guard: |M| = {m.order} > {max_order}")
-    elements = list(m.elements())
-    ring_elements = list(m.ring.elements())
-    zero = m.zero_element
-    bottom = frozenset({zero})
-
-    def adjoin(subgroup, x):
-        # submodule generated by subgroup ∪ {x}: shift by the cyclic module Rx
-        shifts = {m.scale(r, x) for r in ring_elements}
-        return frozenset(m.add(a, t) for a in subgroup for t in shifts)
-
-    found = {bottom}
-    frontier = [bottom]
-    while frontier:
-        fresh = []
-        for sub in frontier:
-            for x in elements:
-                if x in sub:
-                    continue
-                bigger = adjoin(sub, x)
-                if bigger not in found:
-                    found.add(bigger)
-                    fresh.append(bigger)
-        frontier = fresh
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def completely_irreducibles(m: AnyModule, cap: int = DEFAULT_CAP):

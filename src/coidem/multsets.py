@@ -391,11 +391,6 @@ def localize(ring: Ring, s: MultSet) -> LocalizationData:
     return LocalizationData(ring, kernel, q)
 
 
-def multset_image(s: MultSet, q: QuotientData) -> MultSet:
-    """Image of a finite multiplicative set under a quotient projection."""
-    return MultSet(q.ring, frozenset(q.project(x) for x in s.elements))
-
-
 @cache
 def one_multset(ring: Ring) -> MultSet:
     return MultSet(ring, frozenset({ring.one}))

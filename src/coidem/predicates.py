@@ -16,7 +16,6 @@ subsets share one code path:
 For comultiplication and multiplication the ideal quantifier is eliminated:
 I = Ann(N) (resp. I = (N :_R M)) is a without-loss-of-generality choice, since
 any ideal witnessing the sandwich forces the canonical one to witness it too.
-A redundant scan over the elements of a finite S is kept as a debug oracle.
 
 The classical notions are exactly the S = {1} cases.
 """
@@ -360,55 +359,6 @@ def fully_coidempotent_z(s: ZMultSet) -> Verdict:
     if multset_has_zero(s):
         return Verdict(True, witness=0)
     return Verdict(False, counterexample=_least_prime_outside(s.gens))
-
-
-# -- debug oracle: decide the same predicates by scanning a finite S ---------
-
-
-def pointwise_by_scan(prop: str, m: AnyModule, n: AnySubmodule, s: AnyMultSet) -> Verdict:
-    """Evaluate the defining inclusions per element of a finite S directly."""
-    s = resolve_multset(m, s)
-    if not isinstance(s, MultSet):
-        raise UnsupportedRingError("the scan oracle needs a finite S")
-    ring = m.ring
-    zero = zero_submodule(m)
-    full = full_submodule(m)
-    for elem in s.sorted_elements():
-        if prop == "coidempotent":
-            ann = annihilator(n)
-            x = colon_into(zero, ideal_product(ann, ann))
-            ok = sub_leq(scalar_submodule(elem, x), n)
-        elif prop == "idempotent":
-            c = colon_ring(n, full)
-            target = ideal_action(ideal_product(c, c), full)
-            ok = sub_leq(scalar_submodule(elem, n), target) and sub_leq(target, n)
-        elif prop == "pure":
-            ok = all(
-                sub_leq(
-                    scalar_submodule(elem, sub_intersect(n, ideal_action(i, full))),
-                    ideal_action(i, n),
-                )
-                for i in all_ideals(ring)
-            )
-        elif prop == "copure":
-            ok = all(
-                sub_leq(
-                    scalar_submodule(elem, colon_into(n, i)),
-                    sub_sum(n, colon_into(zero, i)),
-                )
-                for i in all_ideals(ring)
-            )
-        elif prop == "comultiplication":
-            torsion = colon_into(zero, annihilator(n))
-            ok = sub_leq(scalar_submodule(elem, torsion), n) and sub_leq(n, torsion)
-        elif prop == "multiplication":
-            target = ideal_action(colon_ring(n, full), full)
-            ok = sub_leq(scalar_submodule(elem, n), target) and sub_leq(target, n)
-        else:
-            raise ValueError(f"unknown property {prop!r}")
-        if ok:
-            return Verdict(True, witness=elem)
-    return Verdict(False)
 
 
 # -- element-level certificate validation ------------------------------------

@@ -250,21 +250,9 @@ def ideal_from_generators(ring: Ring, gens) -> Ideal:
     return ideal(ring, g)
 
 
-def zero_ideal(ring: Ring) -> Ideal:
-    return ideal_from_generators(ring, [])
-
-
 def unit_ideal(ring: Ring) -> Ideal:
     one = ring.one
     return ideal_from_generators(ring, [one])
-
-
-def ideal_is_zero(i: Ideal) -> bool:
-    return i == zero_ideal(i.ring)
-
-
-def ideal_is_whole(i: Ideal) -> bool:
-    return i == unit_ideal(i.ring)
 
 
 def _require_same_ring(a, b):
@@ -293,28 +281,6 @@ def ideal_contains(i: Ideal, x) -> bool:
     if isinstance(i.ring, IntegerRing):
         return x == 0 if i.data == 0 else x % i.data == 0
     return x % i.data == 0
-
-
-def ideal_leq(i: Ideal, j: Ideal) -> bool:
-    """i ⊆ j, decided via divisibility of the canonical generators."""
-    _require_same_ring(i, j)
-    if isinstance(i.ring, ProductRing):
-        return all(a % b == 0 for a, b in zip(i.data, j.data))
-    if isinstance(i.ring, IntegerRing):
-        return i.data == 0 if j.data == 0 else i.data % j.data == 0
-    return i.data % j.data == 0
-
-
-def ideal_elements(i: Ideal):
-    if not i.ring.is_finite:
-        raise UnsupportedRingError("Z ideals cannot be enumerated")
-    if isinstance(i.ring, ProductRing):
-        return [
-            x
-            for x in i.ring.elements()
-            if ideal_contains(i, x)
-        ]
-    return [x for x in range(0, i.ring.n, i.data)]
 
 
 def all_ideals(ring: Ring) -> tuple[Ideal, ...]:

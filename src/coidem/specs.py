@@ -75,10 +75,6 @@ def parse_ring(text: str) -> Ring:
     return product_ring(*rings)
 
 
-def format_ring(ring: Ring) -> str:
-    return str(ring)
-
-
 def _parse_factors(text: str) -> tuple[int, ...]:
     factors = []
     for part in text.split("+"):
@@ -105,17 +101,16 @@ def parse_module(ring: Ring, text: str) -> AnyModule:
             raise SpecError(
                 f"{len(ring.components)} module components expected, got {len(comps)}"
             )
-        built = [
-            module_from_factors(rc, _parse_factors(part))
-            for rc, part in zip(ring.components, comps)
-        ]
-        return product_module(*built)
-    if "x" in squashed:
+        parts = list(zip(ring.components, comps))
+    elif "x" in squashed:
         raise SpecError("product module spec over a non-product ring")
+    else:
+        parts = [(ring, squashed)]
     try:
-        return module_from_factors(ring, _parse_factors(squashed))
+        built = [module_from_factors(rc, _parse_factors(part)) for rc, part in parts]
     except ValueError as exc:
         raise SpecError(str(exc)) from None
+    return product_module(*built) if isinstance(ring, ProductRing) else built[0]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -162,6 +157,11 @@ def _parse_tuple_list(text: str) -> list[tuple]:
     return items
 
 
+def _is_flat(g: tuple) -> bool:
+    """No ';'-separated parts: every coordinate is a plain integer."""
+    return all(isinstance(v, int) for v in g)
+
+
 def parse_multset(ring: Ring, text: str) -> AnyMultSet:
     squashed = _squash(text)
     if squashed == "units":
@@ -185,7 +185,7 @@ def parse_multset(ring: Ring, text: str) -> AnyMultSet:
         if isinstance(ring, ProductRing):
             gens = _parse_tuple_list(body)
             for g in gens:
-                if len(g) != len(ring.components):
+                if len(g) != len(ring.components) or not _is_flat(g):
                     raise SpecError(f"generator {g!r} has the wrong arity for {ring}")
             return closure_in_ring(ring, gens)
         return closure_in_ring(ring, _parse_int_list(body))
@@ -220,12 +220,14 @@ def parse_submodule(module: AnyModule, text: str):
                 raise SpecError(
                     "product submodule generators separate components with ';', e.g. gens:(1,0;2)"
                 )
-            if len(g) != len(module.components):
+            if len(g) != len(module.components) or any(
+                len(part) != comp.rank for part, comp in zip(g, module.components)
+            ):
                 raise SpecError(f"generator {g!r} has the wrong arity for {module}")
             gens.append(tuple(g))
         return submodule_from_generators(module, gens)
     gens = _parse_tuple_list(body)
     for g in gens:
-        if len(g) != module.rank:
+        if len(g) != module.rank or not _is_flat(g):
             raise SpecError(f"generator {g!r} has the wrong length for {module}")
     return submodule_from_generators(module, gens)

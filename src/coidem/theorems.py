@@ -349,7 +349,7 @@ def _t08(inst: Instance):
         holds = _fully("coidempotent", m, comp).holds
         b = b and holds
         c = c and holds
-        supported = s_torsion(m, comp, cross_check=False) != full_submodule(m)
+        supported = s_torsion(m, comp) != full_submodule(m)
         if supported:
             d = d and holds
     stmts.update({"primes": b, "maximals": c, "supported_maximals": d})
@@ -821,33 +821,18 @@ def verify_all(
     registry = [
         t for t in theorem_registry() if theorem_ids is None or t.id in theorem_ids
     ]
+    tasks = [(inst, [t.id for t in registry], validate_witnesses, timings) for inst in corpus]
     if jobs > 1:
         import multiprocessing as mp
 
         with mp.Pool(jobs) as pool:
-            chunks = pool.map(
-                _worker,
-                [
-                    (inst, [t.id for t in registry], validate_witnesses, timings)
-                    for inst in corpus
-                ],
-            )
-        results = [r for chunk, _, _, _ in chunks for r in chunk]
-        probe_list = [p for _, p, _, _ in chunks]
-        checked = sum(c for _, _, c, _ in chunks)
-        failed = sum(f for _, _, _, f in chunks)
+            chunks = pool.map(_worker, tasks)
     else:
-        results = []
-        probe_list = []
-        checked = failed = 0
-        for inst in corpus:
-            for theorem in registry:
-                results.append(run_check(theorem, inst, timings=timings))
-            probe_list.append((inst.label, _probe_flags(inst)))
-            if validate_witnesses:
-                c, f = _validate_instance_witnesses(inst)
-                checked += c
-                failed += f
+        chunks = [_worker(task) for task in tasks]
+    results = [r for chunk, _, _, _ in chunks for r in chunk]
+    probe_list = [p for _, p, _, _ in chunks]
+    checked = sum(c for _, _, c, _ in chunks)
+    failed = sum(f for _, _, _, f in chunks)
     summary: dict = {}
     for t in registry:
         rows = [r for r in results if r.theorem_id == t.id]

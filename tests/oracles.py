@@ -1,0 +1,171 @@
+"""Independent routes to answers the engine computes, used only by the tests.
+
+Each helper here decides by brute force or by a different algorithm what
+`coidem` decides through canonical forms and witness ideals, so agreement
+between the two is a real check.  None of them is used by the package.
+"""
+
+from coidem.lattice import LatticeCapExceeded
+from coidem.modules import (
+    annihilator,
+    colon_into,
+    colon_ring,
+    full_submodule,
+    ideal_action,
+    scalar_submodule,
+    sub_intersect,
+    sub_leq,
+    sub_sum,
+    zero_submodule,
+)
+from coidem.multsets import MultSet
+from coidem.predicates import Verdict, resolve_multset
+from coidem.rings import (
+    IntegerRing,
+    ProductRing,
+    RingMismatchError,
+    UnsupportedRingError,
+    all_ideals,
+    ideal_product,
+)
+
+
+# -- integer matrices -----------------------------------------------------------
+
+
+def mat_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(row[i] * b[i][j] for i in range(len(row))) for j in range(cols))
+        for row in a
+    )
+
+
+def det(mat) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(r) for r in mat]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            piv = next((r for r in range(i + 1, n) if a[r][i]), None)
+            if piv is None:
+                return 0
+            a[i], a[piv] = a[piv], a[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[-1][-1]
+
+
+# -- ideals -----------------------------------------------------------------------
+
+
+def ideal_leq(i, j) -> bool:
+    """i ⊆ j, decided via divisibility of the canonical generators."""
+    if i.ring != j.ring:
+        raise RingMismatchError(f"operands over {i.ring} and {j.ring}")
+    if isinstance(i.ring, ProductRing):
+        return all(a % b == 0 for a, b in zip(i.data, j.data))
+    if isinstance(i.ring, IntegerRing):
+        return i.data == 0 if j.data == 0 else i.data % j.data == 0
+    return i.data % j.data == 0
+
+
+# -- submodules as element sets ---------------------------------------------------
+
+
+def naive_oracle(m, max_order: int = 4096):
+    """Every submodule as a frozen set of elements, by raw element arithmetic.
+
+    Closes element sets under scalar action and addition only; no lattice or
+    canonical-form machinery is involved, so this is an independent route to
+    the same answer as `enumerate_submodules`.
+    """
+    if m.order > max_order:
+        raise LatticeCapExceeded(f"oracle guard: |M| = {m.order} > {max_order}")
+    elements = list(m.elements())
+    ring_elements = list(m.ring.elements())
+    zero = m.zero_element
+    bottom = frozenset({zero})
+
+    def adjoin(subgroup, x):
+        # submodule generated by subgroup ∪ {x}: shift by the cyclic module Rx
+        shifts = {m.scale(r, x) for r in ring_elements}
+        return frozenset(m.add(a, t) for a in subgroup for t in shifts)
+
+    found = {bottom}
+    frontier = [bottom]
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            for x in elements:
+                if x in sub:
+                    continue
+                bigger = adjoin(sub, x)
+                if bigger not in found:
+                    found.add(bigger)
+                    fresh.append(bigger)
+        frontier = fresh
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def torsion_by_scan(m, s: MultSet) -> set:
+    """{x : t·x = 0 for some t in S}, element by element."""
+    zero = m.zero_element
+    return {x for x in m.elements() if any(m.scale(t, x) == zero for t in s.elements)}
+
+
+# -- predicates by scanning a finite S --------------------------------------------
+
+
+def pointwise_by_scan(prop: str, m, n, s) -> Verdict:
+    """Evaluate the defining inclusions per element of a finite S directly."""
+    s = resolve_multset(m, s)
+    if not isinstance(s, MultSet):
+        raise UnsupportedRingError("the scan oracle needs a finite S")
+    ring = m.ring
+    zero = zero_submodule(m)
+    full = full_submodule(m)
+    for elem in s.sorted_elements():
+        if prop == "coidempotent":
+            ann = annihilator(n)
+            x = colon_into(zero, ideal_product(ann, ann))
+            ok = sub_leq(scalar_submodule(elem, x), n)
+        elif prop == "idempotent":
+            c = colon_ring(n, full)
+            target = ideal_action(ideal_product(c, c), full)
+            ok = sub_leq(scalar_submodule(elem, n), target) and sub_leq(target, n)
+        elif prop == "pure":
+            ok = all(
+                sub_leq(
+                    scalar_submodule(elem, sub_intersect(n, ideal_action(i, full))),
+                    ideal_action(i, n),
+                )
+                for i in all_ideals(ring)
+            )
+        elif prop == "copure":
+            ok = all(
+                sub_leq(
+                    scalar_submodule(elem, colon_into(n, i)),
+                    sub_sum(n, colon_into(zero, i)),
+                )
+                for i in all_ideals(ring)
+            )
+        elif prop == "comultiplication":
+            torsion = colon_into(zero, annihilator(n))
+            ok = sub_leq(scalar_submodule(elem, torsion), n) and sub_leq(n, torsion)
+        elif prop == "multiplication":
+            target = ideal_action(colon_ring(n, full), full)
+            ok = sub_leq(scalar_submodule(elem, n), target) and sub_leq(target, n)
+        else:
+            raise ValueError(f"unknown property {prop!r}")
+        if ok:
+            return Verdict(True, witness=elem)
+    return Verdict(False)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from coidem.lattice import enumerate_submodules, naive_oracle
+from coidem.lattice import enumerate_submodules
 from coidem.modules import (
     FinModule,
     annihilator,
@@ -28,8 +28,10 @@ from coidem.modules import (
     zero_submodule,
 )
 from coidem.multsets import one_multset
-from coidem.rings import ModularRing, all_ideals, ideal_leq, ideal_intersect, ideal_product
+from coidem.rings import ModularRing, all_ideals, ideal_intersect, ideal_product
 from coidem.theorems import factor_lists, reproduce_examples
+
+from oracles import ideal_leq, naive_oracle
 
 MODULI = tuple(range(2, 17))
 

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from coidem.cli import main
+from hypothesis import given, settings, strategies as st
+
+from coidem.cli import VALID_PROPERTIES, main
 
 
 def run_cli(capsys, *argv):
@@ -143,19 +145,6 @@ def test_product_ring_check(capsys):
     assert code == 0
 
 
-def test_cache_dir_flag(tmp_path, capsys):
-    code, _, _ = run_cli(
-        capsys,
-        "--cache-dir", str(tmp_path),
-        "enumerate", "--ring", "Z/9", "--module", "Z/9+Z/3",
-    )
-    assert code == 0
-    assert list(tmp_path.iterdir())
-    import coidem.lattice as L
-
-    L.set_default_cache_dir(None)
-
-
 def test_console_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "coidem.cli", "reproduce-examples", "--json"],
@@ -165,3 +154,110 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+# -- fuzzing the spec grammar ------------------------------------------------
+#
+# Every number stays <= 64 and every module of order <= 64 (enumerating
+# Z/64+Z/64 alone takes ~30 s); junk text carries at most one number, so it
+# never spells a larger modulus.
+
+_NUM = st.integers(0, 64).map(str)
+_NUMS = st.lists(_NUM, max_size=3).map(",".join)
+_TUPLES = st.lists(  # "(1,2)", "(1;2,0)": flat tuples and ';'-split product parts
+    st.lists(_NUMS, min_size=1, max_size=2).map(lambda parts: "(" + ";".join(parts) + ")"),
+    max_size=2,
+).map(",".join)
+_JUNK = st.text(alphabet="Z/x+,;:() -gensfutcop", max_size=6)
+
+
+def _junk(number):
+    return st.tuples(_JUNK, st.none() | number, _JUNK).map(lambda t: t[0] + (t[1] or "") + t[2])
+
+
+_GARBAGE = _junk(_NUM)
+
+
+@st.composite
+def _ring_and_module(draw):
+    """A ring spec and a module spec that mostly fits it, so checks get past parsing."""
+    # -1 spells Z; product factors stay <= 16, because S over Z/m x Z/n is built
+    # as an element set with a quadratic closure check (8 s at Z/40 x Z/53)
+    moduli = draw(
+        st.tuples(st.sampled_from(range(-1, 65)))
+        | st.tuples(st.sampled_from(range(-1, 17)), st.sampled_from(range(-1, 17)))
+    )
+    ring = " x ".join("Z" if n < 0 else f"Z/{n}" for n in moduli)
+    kind = draw(st.sampled_from(["fit"] * 4 + ["Z", "junk module", "junk ring"]))
+    if kind == "Z":
+        return ring, "Z"
+    if kind == "junk module":
+        return ring, draw(_GARBAGE)
+    budget = 64
+    comps = []
+    for n in moduli:
+        comp = []
+        for _ in range(draw(st.integers(1, 2))):
+            fits = [d for d in range(1, budget + 1) if n <= 0 or n % d == 0]
+            d = draw(st.sampled_from(fits) if draw(st.integers(0, 3)) else st.integers(0, budget))
+            budget //= max(d, 1)
+            comp.append(f"Z/{d}")
+        comps.append("+".join(comp))
+    module = " x ".join(comps)
+    return (draw(_GARBAGE) if kind == "junk ring" else ring), module
+
+
+_MULTSET = st.one_of(
+    st.sampled_from(["units", "nonzero"]),
+    st.tuples(st.sampled_from(["comp-primes:", "gen:", "fgen:"]), st.one_of(_NUMS, _TUPLES))
+    .map("".join),
+    _GARBAGE,
+)
+_SUB = st.one_of(st.one_of(_NUMS, _TUPLES).map(lambda body: "gens:" + body), _GARBAGE)
+_PROPERTY = st.one_of(
+    st.sampled_from(VALID_PROPERTIES + ("s-coidempotent", "fully-s-pure")), _GARBAGE
+)
+# verify moduli stay <= 16: it builds every multiplicative set of each Z/n, and
+# `verify --moduli 4-51` with this test's other flags took 7 s
+_SMALL = st.integers(0, 16).map(str)
+_MODULI = st.one_of(
+    st.lists(
+        st.one_of(_SMALL, st.tuples(_SMALL, _SMALL).map("-".join)), min_size=1, max_size=2
+    ).map(",".join),
+    _junk(_SMALL),
+)
+
+_ARGV = st.one_of(
+    st.builds(
+        lambda rm, s, prop, sub: [
+            "check", "--ring", rm[0], "--module", rm[1], "--s", s, "--property", prop,
+            "--sub", sub,
+        ],
+        _ring_and_module(), _MULTSET, _PROPERTY, _SUB,
+    ),
+    st.builds(
+        lambda rm, cap: [
+            "enumerate", "--ring", rm[0], "--module", rm[1], "--hasse", "--lattice-cap", str(cap),
+        ],
+        _ring_and_module(), st.integers(-1, 200),
+    ),
+    st.builds(
+        lambda moduli: [
+            "verify", "--moduli", moduli, "--max-order", "2", "--no-products",
+            "--theorems", "T02",
+        ],
+        _MODULI,
+    ),
+    st.just(["reproduce-examples", "--json"]),
+)
+
+
+@settings(max_examples=200)
+@given(_ARGV)
+def test_cli_never_raises(argv):
+    """Every spec string ends in exit 0, 1 or 2; argparse's own exit 2 is allowed."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv

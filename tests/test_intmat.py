@@ -5,6 +5,8 @@ from hypothesis import given
 
 from coidem import intmat
 
+from oracles import det, mat_mul
+
 
 def entries(lo=-9, hi=9):
     return st.integers(min_value=lo, max_value=hi)
@@ -54,9 +56,9 @@ def test_hnf_is_canonical_and_spans(mat):
 @given(matrices())
 def test_smith_normal_form(mat):
     u, s, v = intmat.smith_normal_form(mat)
-    assert intmat.mat_mul(intmat.mat_mul(u, mat), v) == s
-    assert abs(intmat.det(u)) == 1
-    assert abs(intmat.det(v)) == 1
+    assert mat_mul(mat_mul(u, mat), v) == s
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     m, k = len(mat), len(mat[0])
     diag = [s[i][i] for i in range(min(m, k))]
     for i in range(m):
@@ -76,7 +78,7 @@ def test_unimodular_inverse_roundtrip(mat):
     u, _, v = intmat.smith_normal_form(mat)
     for w in (u, v):
         winv = intmat.unimodular_inverse(w)
-        assert intmat.mat_mul(w, winv) == intmat.identity(len(w))
+        assert mat_mul(w, winv) == intmat.identity(len(w))
 
 
 def test_lattice_intersect_examples():

@@ -1,11 +1,11 @@
 import pytest
 
+from coidem import lattice
 from coidem.lattice import (
     LatticeCapExceeded,
     ci_decomposition,
     completely_irreducibles,
     enumerate_submodules,
-    naive_oracle,
 )
 from coidem.modules import (
     FinModule,
@@ -17,6 +17,8 @@ from coidem.modules import (
     submodule_from_generators,
 )
 from coidem.rings import ModularRing
+
+from oracles import naive_oracle
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -73,6 +75,16 @@ def test_oracle_guard():
 def test_cap_guard():
     with pytest.raises(LatticeCapExceeded):
         enumerate_submodules(FinModule(Z2, (2,) * 5), cap=10)
+
+
+def test_cap_is_honoured_above_the_default(monkeypatch):
+    monkeypatch.setattr(lattice, "_memory_cache", {})
+    monkeypatch.setattr(lattice, "DEFAULT_CAP", 10)
+    m = FinModule(Z2, (2,) * 4)
+    assert len(enumerate_submodules(m, cap=1000)) == 67
+    lattice._memory_cache.clear()
+    with pytest.raises(LatticeCapExceeded):
+        enumerate_submodules(m, cap=10)
 
 
 def test_completely_irreducibles_examples():
@@ -140,25 +152,3 @@ def test_product_lattice():
     assert len(lat) == 4
     oracle = naive_oracle(mp)
     assert {frozenset(s.elements()) for s in lat.all} == set(oracle)
-
-
-def test_disk_cache_roundtrip(tmp_path):
-    m = module_from_factors(Z12, [12, 2])
-    import coidem.lattice as L
-
-    L._memory_cache.pop(m, None)
-    lat1 = enumerate_submodules(m, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    L._memory_cache.pop(m, None)
-    lat2 = enumerate_submodules(m, cache_dir=str(tmp_path))
-    assert [s.basis for s in lat1.all] == [s.basis for s in lat2.all]
-    # a wrong format version invalidates the entry
-    import json
-
-    blob = json.loads(files[0].read_text())
-    blob["format"] = -1
-    files[0].write_text(json.dumps(blob))
-    L._memory_cache.pop(m, None)
-    lat3 = enumerate_submodules(m, cache_dir=str(tmp_path))
-    assert [s.basis for s in lat3.all] == [s.basis for s in lat1.all]

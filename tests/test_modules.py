@@ -24,12 +24,6 @@ from coidem.modules import (
     sub_sum,
     submodule_as_module,
     submodule_from_generators,
-    z_annihilator,
-    z_colon_into,
-    z_colon_ring,
-    z_ideal_action,
-    z_sub_intersect,
-    z_sub_sum,
     zero_submodule,
 )
 from coidem.multsets import MultSet, closure_in_ring
@@ -39,11 +33,12 @@ from coidem.rings import (
     all_ideals,
     ideal,
     ideal_intersect,
-    ideal_leq,
     ideal_product,
     unit_ideal,
-    zero_ideal,
 )
+from coidem.theorems import factor_lists, s_choices
+
+from oracles import ideal_leq, torsion_by_scan
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -110,7 +105,7 @@ def test_sum_intersect_examples():
 def test_ideal_action_examples():
     n3 = submodule_from_generators(M12, [(3,)])
     assert ideal_action(ideal(Z12, 2), n3) == submodule_from_generators(M12, [(6,)])
-    assert ideal_action(zero_ideal(Z12), n3) == zero_submodule(M12)
+    assert ideal_action(ideal(Z12, 0), n3) == zero_submodule(M12)
     assert ideal_action(unit_ideal(Z12), n3) == n3
 
 
@@ -120,17 +115,17 @@ def test_colon_into_examples():
     )
     n2 = submodule_from_generators(M12, [(2,)])
     assert colon_into(n2, ideal(Z12, 3)) == n2
-    assert colon_into(n2, zero_ideal(Z12)) == full_submodule(M12)
+    assert colon_into(n2, ideal(Z12, 0)) == full_submodule(M12)
 
 
 def test_colon_ring_and_annihilator_examples():
     n2 = submodule_from_generators(M4, [(2,)])
     assert colon_ring(n2, full_submodule(M4)) == ideal(Z4, 2)
     m24 = module_from_factors(Z4, [2, 4])
-    assert annihilator(full_submodule(m24)) == zero_ideal(Z4)
+    assert annihilator(full_submodule(m24)) == ideal(Z4, 0)
     assert annihilator(zero_submodule(m24)) == unit_ideal(Z4)
     line = submodule_from_generators(M22, [(1, 0)])
-    assert annihilator(line) == zero_ideal(Z2)
+    assert annihilator(line) == ideal(Z2, 0)
     assert colon_ring(n2, n2) == unit_ideal(Z4)
 
 
@@ -158,6 +153,20 @@ def test_s_torsion_examples():
     assert s_torsion(M12, s0) == full_submodule(M12)
 
 
+def test_s_torsion_matches_element_scan():
+    # every module over Z/n (n <= 64) of order <= 64, under every corpus S
+    for n in range(2, 65):
+        ring = ModularRing(n)
+        sets = s_choices(ring)
+        for factors in factor_lists(n, 64):
+            m = FinModule(ring, factors)
+            for s in sets:
+                torsion = s_torsion(m, s)
+                scan = torsion_by_scan(m, s)
+                assert len(scan) == torsion.order, (m, s)
+                assert all(torsion.contains(x) for x in scan), (m, s)
+
+
 def test_localize_module_examples():
     s2 = closure_in_ring(Z12, [2])
     lm = localize_module(M12, s2)
@@ -167,21 +176,6 @@ def test_localize_module_examples():
     assert localize_module(M4, s13).module == M4
     s0 = closure_in_ring(Z6, [0])
     assert localize_module(module_from_factors(Z6, [6]), s0).trivial
-
-
-def test_z_closed_forms():
-    assert z_annihilator(5) == ideal(Z, 0)
-    assert z_annihilator(0) == ideal(Z, 1)
-    assert z_colon_into(0, 5) == 0 and z_colon_into(0, 0) == 1
-    assert z_colon_into(6, 2) == 3
-    assert z_colon_ring(6, 2) == ideal(Z, 3)
-    assert z_ideal_action(2, 3) == 6
-    assert z_sub_sum(4, 6) == 2 and z_sub_intersect(4, 6) == 12
-    assert z_sub_intersect(0, 4) == 0
-    # (0 : Ann^2(tZ)) = Z for t > 0: each tZ is non-coidempotent classically
-    for t in (1, 2, 5):
-        ann = z_annihilator(t)
-        assert z_colon_into(0, ann.data) == 1
 
 
 # -- laws ---------------------------------------------------------------------

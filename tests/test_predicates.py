@@ -33,7 +33,6 @@ from coidem.predicates import (
     idempotent,
     multiplication,
     multset_has_zero,
-    pointwise_by_scan,
     pure,
     s_finite,
     s_noetherian,
@@ -41,6 +40,8 @@ from coidem.predicates import (
     witness_is_sound,
 )
 from coidem.rings import ModularRing, UnsupportedRingError, Z, all_ideals, ideal_contains
+
+from oracles import pointwise_by_scan
 
 Z2, Z4, Z6, Z12 = ModularRing(2), ModularRing(4), ModularRing(6), ModularRing(12)
 M4 = module_from_factors(Z4, [4])

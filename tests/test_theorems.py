@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from coidem.modules import FinModule, module_from_factors
@@ -144,3 +145,17 @@ def test_timings_flag_controls_millis():
     timed = verify_all(corpus, theorem_ids={"T01"}, timings=True)
     assert all(r.millis is None for r in plain.results)
     assert all(isinstance(r.millis, float) for r in timed.results)
+
+
+# sha256 of the tiny-corpus report, the same anchor the benchmark's harness
+# workload holds; any change to a verdict, witness count or probe shows here
+TINY = CorpusConfig(moduli=(2, 3, 4), max_order=8, include_products=False)
+TINY_REPORT_SHA256 = "9c8bcbb7a0f4206cc058d914ea7ee7a777db319de7386bfb924b6da8cf0c89b3"
+
+
+def test_report_hash_is_the_same_for_every_job_count():
+    corpus = generate_corpus(TINY)
+    for jobs in (1, 2):
+        report = verify_all(corpus, jobs=jobs, config=TINY)
+        blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+        assert hashlib.sha256(blob.encode()).hexdigest() == TINY_REPORT_SHA256, jobs
