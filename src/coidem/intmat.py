@@ -10,12 +10,13 @@ Conventions:
     increase, pivots are positive, and entries above a pivot are reduced into
     [0, pivot).  For the full-rank square case this is upper triangular with
     the pivot of row i in column i, and the HNF is unique per lattice.
+
+All arithmetic is on Python ints; no rational numbers are used.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -125,20 +126,23 @@ def rowspan_coords(h: Matrix, x):
 def multiple_order(h: Matrix, v) -> int:
     """Least c >= 1 with c*v inside the full-rank lattice rowspan(h).
 
-    h must be square full-rank HNF (upper triangular).  The answer is the lcm
-    of the denominators of the rational solution y of y @ h = v.
+    h must be square full-rank HNF (upper triangular).  Back-substitution over
+    the pivots: at pivot i the reduced vector x needs the extra factor
+    g = h_ii / gcd(x_i, h_ii) before row i divides it out.  Every valid
+    multiplier is a multiple of each successive g, so their product is least.
     """
-    k = len(h)
-    x = [Fraction(e) for e in v]
-    denom = 1
-    for i in range(k):
-        q = x[i] / h[i][i]
-        denom = lcm(denom, q.denominator)
+    c = 1
+    x = list(v)
+    for i, row in enumerate(h):
+        p = row[i]
+        g = p // gcd(x[i], p)
+        if g > 1:
+            c *= g
+            x = [g * a for a in x]
+        q = x[i] // p
         if q:
-            x = [a - q * b for a, b in zip(x, h[i])]
-    if any(x):
-        raise ValueError("vector outside the rational row space")
-    return denom
+            x = [a - q * b for a, b in zip(x, row)]
+    return c
 
 
 def lattice_intersect(h1: Matrix, h2: Matrix, k: int) -> Matrix:
@@ -154,15 +158,15 @@ def lattice_intersect(h1: Matrix, h2: Matrix, k: int) -> Matrix:
     return hnf_square(out, k)
 
 
-def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (U, S, V) with U @ mat @ V == S, U and V unimodular.
+def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
+    """Return (S, V): V unimodular and rowspan(mat @ V) == rowspan(S).
 
-    S is diagonal with nonnegative entries and s_i | s_{i+1}.
+    S is diagonal with nonnegative entries and s_i | s_{i+1}.  Row operations
+    are not recorded: S == U @ mat @ V for some unimodular U not returned.
     """
     m = len(mat)
     k = len(mat[0]) if m else 0
     s = [list(r) for r in mat]
-    u = [list(r) for r in identity(m)]
     v = [list(r) for r in identity(k)]
     t = 0
     while True:
@@ -178,7 +182,6 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         i0, j0 = pos
         if i0 != t:
             s[t], s[i0] = s[i0], s[t]
-            u[t], u[i0] = u[i0], u[t]
         if j0 != t:
             for row in s:
                 row[t], row[j0] = row[j0], row[t]
@@ -189,7 +192,6 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
             if s[i][t]:
                 q = s[i][t] // s[t][t]
                 s[i] = [a - q * b for a, b in zip(s[i], s[t])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[t])]
                 if s[i][t]:
                     dirty = True
         for j in range(t + 1, k):
@@ -211,42 +213,10 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
                 break
         if offender is not None:
             s[t] = [a + b for a, b in zip(s[t], s[offender])]
-            u[t] = [a + b for a, b in zip(u[t], u[offender])]
             continue
         if p < 0:
             s[t] = [-a for a in s[t]]
-            u[t] = [-a for a in u[t]]
         t += 1
         if t >= min(m, k):
             break
-    return (
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in s),
-        tuple(tuple(r) for r in v),
-    )
-
-
-def unimodular_inverse(mat: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix (asserted integral)."""
-    k = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)]
-         for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = []
-    for i in range(k):
-        row = []
-        for j in range(k, 2 * k):
-            val = a[i][j]
-            if val.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(val))
-        inv.append(tuple(row))
-    return tuple(inv)
+    return tuple(tuple(r) for r in s), tuple(tuple(r) for r in v)

@@ -10,6 +10,7 @@ lattices of its p-components.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache, cached_property
 
 import itertools
@@ -67,23 +68,19 @@ class SubmoduleLattice:
 
     @cached_property
     def covers(self):
-        """Hasse pairs (i, j): all[j] covers all[i] (immediate containment)."""
-        n = len(self.all)
-        leq = self.leq
-        pairs = []
-        for i in range(n):
-            ups = [j for j in range(n) if j != i and leq[i][j]]
-            for j in ups:
-                if not any(l != j and leq[l][j] for l in ups):
-                    pairs.append((i, j))
-        return tuple(pairs)
+        """Hasse pairs (i, j): all[j] covers all[i] (immediate containment).
 
-    @cached_property
-    def covers_of(self):
-        out = {i: [] for i in range(len(self.all))}
-        for i, j in self.covers:
-            out[i].append(j)
-        return out
+        In a finite module K covers N exactly when N ⊂ K and [K:N] is prime;
+        every index divides |M|, so the primes of |M| are the only candidates.
+        """
+        primes = set(factorize(self.parent.order))
+        orders = [s.order for s in self.all]
+        return tuple(
+            (i, j)
+            for i, row in enumerate(self.leq)
+            for j, above in enumerate(row)
+            if above and orders[j] // orders[i] in primes
+        )
 
     @cached_property
     def completely_irreducible_indexes(self):
@@ -91,14 +88,10 @@ class SubmoduleLattice:
 
         In a finite lattice a proper N is completely irreducible exactly when
         the intersection of all strictly larger submodules differs from N,
-        i.e. when N has a unique cover.
+        i.e. when N has a unique cover (the full module has none).
         """
-        top = len(self.all) - 1  # the full module sorts last
-        return tuple(
-            i
-            for i in range(len(self.all))
-            if i != top and len(self.covers_of[i]) == 1
-        )
+        ups = Counter(i for i, _ in self.covers)
+        return tuple(i for i in range(len(self.all)) if ups[i] == 1)
 
     def completely_irreducibles(self):
         return tuple(self.all[i] for i in self.completely_irreducible_indexes)

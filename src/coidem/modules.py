@@ -76,9 +76,6 @@ class FinModule:
     def zero_element(self):
         return (0,) * len(self.factors)
 
-    def normalize_element(self, x):
-        return tuple(v % d for v, d in zip(x, self.factors))
-
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
 
@@ -111,9 +108,6 @@ class ProductModule:
     @property
     def zero_element(self):
         return tuple(c.zero_element for c in self.components)
-
-    def normalize_element(self, x):
-        return tuple(c.normalize_element(v) for c, v in zip(self.components, x))
 
     def add(self, a, b):
         return tuple(c.add(x, y) for c, x, y in zip(self.components, a, b))
@@ -342,20 +336,29 @@ def annihilator(n: AnySubmodule) -> Ideal:
     return colon_ring(zero_submodule(n.module), n)
 
 
-class QuotientModule:
-    """M/N in invariant-factor form with the submodule correspondence.
+def _invariant_factors(rows) -> tuple[tuple[int, ...], tuple[int, ...], Matrix]:
+    """(factors, kept, V) for Z^k / rowspan(rows), rows of full rank k.
 
-    The Smith form U·H_N·V = diag(s) turns x ↦ x·V into an isomorphism
-    Z^k / L_N → ⊕ Z/s_i; coordinates with s_i = 1 are dropped.  Projection and
-    lift restrict to the order isomorphism between submodules of M containing
-    N and submodules of M/N.
+    With (S, V) the Smith form of rows, x ↦ x·V is an isomorphism
+    Z^k / rowspan(rows) → ⊕ Z/s_i; `kept` lists the coordinates with s_i >= 2
+    and `factors` their s_i, the invariant factors of the quotient.
+    """
+    s, v = intmat.smith_normal_form(rows)
+    kept = tuple(i for i in range(len(v)) if s[i][i] >= 2)
+    return tuple(s[i][i] for i in kept), kept, v
+
+
+class QuotientModule:
+    """M/N in invariant-factor form, with the projection of submodules.
+
+    Coordinates follow the Smith form of H_N (see `_invariant_factors`);
+    `project_submodule` sends a submodule K ⊇ N of M to K/N.
     """
 
     def __init__(self, source, by):
         if by.module != source:
             raise RingMismatchError("submodule of a different module")
         self.source = source
-        self.by = by
         if isinstance(source, ProductModule):
             self._cq = tuple(
                 QuotientModule(c, p) for c, p in zip(source.components, by.parts)
@@ -364,18 +367,8 @@ class QuotientModule:
                 source.ring, tuple(q.module for q in self._cq)
             )
             return
-        _, s, v = intmat.smith_normal_form(by.basis)
-        self._diag = tuple(s[i][i] for i in range(source.rank))
-        self._kept = tuple(i for i, si in enumerate(self._diag) if si >= 2)
-        self.module = FinModule(source.ring, tuple(self._diag[i] for i in self._kept))
-        self._v = v
-        self._vinv = intmat.unimodular_inverse(v)
-
-    def project_element(self, x):
-        if isinstance(self.source, ProductModule):
-            return tuple(q.project_element(v) for q, v in zip(self._cq, x))
-        y = intmat.vec_mat(x, self._v)
-        return tuple(y[i] % self._diag[i] for i in self._kept)
+        factors, self._kept, self._v = _invariant_factors(by.basis)
+        self.module = FinModule(source.ring, factors)
 
     def project_submodule(self, sub: AnySubmodule) -> AnySubmodule:
         if isinstance(self.source, ProductModule):
@@ -387,82 +380,20 @@ class QuotientModule:
         proj = [tuple(r[i] for i in self._kept) for r in rows]
         return _submodule(self.module, proj)
 
-    def lift_submodule(self, sub: AnySubmodule) -> AnySubmodule:
-        if isinstance(self.source, ProductModule):
-            parts = tuple(
-                q.lift_submodule(p) for q, p in zip(self._cq, sub.parts)
-            )
-            return ProductSubmodule(self.source, parts)
-        k = self.source.rank
-        rows = []
-        for r in sub.basis:
-            wide = [0] * k
-            for pos, i in enumerate(self._kept):
-                wide[i] = r[pos]
-            rows.append(wide)
-        for i in range(k):
-            if i not in self._kept:
-                rows.append([1 if j == i else 0 for j in range(k)])
-        rows = [intmat.vec_mat(r, self._vinv) for r in rows]
-        return _submodule(self.source, rows)
-
 
 def quotient_module(m: AnyModule, n: AnySubmodule) -> QuotientModule:
     return QuotientModule(m, n)
 
 
-class SubmoduleAsModule:
-    """A submodule N of M presented as a module in its own right.
+def submodule_as_module(n: Submodule) -> FinModule:
+    """N as a module in its own right, in invariant-factor form.
 
-    Writing elements of N in coordinates z w.r.t. its basis H_N identifies N
-    with Z^k / span(C), where the rows of C express the relation rows D in the
-    H_N basis.  Smith-reducing C gives the abstract invariant factors;
-    `restrict` carries submodules of M inside N to the abstract module and
-    `embed` carries them back.
+    In coordinates w.r.t. its basis H_N, N is Z^k / span(C), where the rows
+    of C express the relation rows D in the H_N basis.
     """
-
-    def __init__(self, n: Submodule):
-        m = n.module
-        self.parent = m
-        self.of = n
-        c_rows = tuple(
-            tuple(intmat.rowspan_coords(n.basis, rel)) for rel in _relation_rows(m)
-        )
-        _, s, v = intmat.smith_normal_form(c_rows)
-        self._diag = tuple(s[i][i] for i in range(m.rank))
-        self._kept = tuple(i for i, si in enumerate(self._diag) if si >= 2)
-        self.module = FinModule(m.ring, tuple(self._diag[i] for i in self._kept))
-        self._v = v
-        self._vinv = intmat.unimodular_inverse(v)
-
-    def restrict(self, sub: Submodule) -> Submodule:
-        if not sub_leq(sub, self.of):
-            raise ValueError("submodule is not inside N")
-        rows = []
-        for r in sub.basis:
-            coords = intmat.rowspan_coords(self.of.basis, r)
-            rows.append(intmat.vec_mat(coords, self._v))
-        proj = [tuple(r[i] for i in self._kept) for r in rows]
-        return _submodule(self.module, proj)
-
-    def embed(self, sub: Submodule) -> Submodule:
-        k = self.parent.rank
-        rows = []
-        for r in sub.basis:
-            wide = [0] * k
-            for pos, i in enumerate(self._kept):
-                wide[i] = r[pos]
-            rows.append(wide)
-        for i in range(k):
-            if i not in self._kept:
-                rows.append([1 if j == i else 0 for j in range(k)])
-        rows = [intmat.vec_mat(r, self._vinv) for r in rows]
-        rows = [intmat.vec_mat(r, self.of.basis) for r in rows]
-        return _submodule(self.parent, rows)
-
-
-def submodule_as_module(n: Submodule) -> SubmoduleAsModule:
-    return SubmoduleAsModule(n)
+    m = n.module
+    c_rows = [intmat.rowspan_coords(n.basis, rel) for rel in _relation_rows(m)]
+    return FinModule(m.ring, _invariant_factors(c_rows)[0])
 
 
 def s_torsion(m: AnyModule, s: MultSet) -> AnySubmodule:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
 
 from .lattice import enumerate_submodules
 from .modules import (
@@ -368,8 +368,7 @@ def _t09(inst: Instance):
     applicable = False
     full = full_submodule(m)
     for n in lattice.all:
-        abstract = submodule_as_module(n)
-        sub_fully = _fully("coidempotent", abstract.module, s).holds
+        sub_fully = _fully("coidempotent", submodule_as_module(n), s).holds
         if hyp_m:
             applicable = True
             if not sub_fully:
@@ -496,16 +495,12 @@ def _t16(inst: Instance):
         for combo in itertools.combinations(range(len(subs)), size)
     ]
     families.append(tuple(range(len(subs))))
+    inter_ns = [reduce(sub_intersect, (subs[i] for i in fam)) for fam in families]
     for k in subs:
         sums = [sub_sum(n, k) for n in subs]
-        for fam in families:
-            inter_sums = sums[fam[0]]
-            for idx in fam[1:]:
-                inter_sums = sub_intersect(inter_sums, sums[idx])
-            inter_ns = subs[fam[0]]
-            for idx in fam[1:]:
-                inter_ns = sub_intersect(inter_ns, subs[idx])
-            target = sub_sum(inter_ns, k)
+        for fam, inter_n in zip(families, inter_ns):
+            inter_sums = reduce(sub_intersect, (sums[i] for i in fam))
+            target = sub_sum(inter_n, k)
             if meets_ideal(s, colon_ring(target, inter_sums)) is None:
                 return _outcome(
                     False,
@@ -678,9 +673,12 @@ def _instance(m: AnyModule, s: MultSet, components=()) -> Instance:
 def generate_corpus(config: CorpusConfig = CorpusConfig()) -> list[Instance]:
     instances: list[Instance] = []
     for n in config.moduli:
+        shapes = factor_lists(n, config.max_order)
+        if not shapes:
+            continue  # s_choices closes every element of Z/n: skip it when unused
         ring = ModularRing(n)
         sets = s_choices(ring)
-        for factors in factor_lists(n, config.max_order):
+        for factors in shapes:
             m = FinModule(ring, factors)
             for s in sets:
                 instances.append(_instance(m, s))

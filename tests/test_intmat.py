@@ -2,6 +2,8 @@ from math import gcd
 
 import hypothesis.strategies as st
 from hypothesis import given
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from coidem import intmat
 
@@ -55,11 +57,11 @@ def test_hnf_is_canonical_and_spans(mat):
 
 @given(matrices())
 def test_smith_normal_form(mat):
-    u, s, v = intmat.smith_normal_form(mat)
-    assert mat_mul(mat_mul(u, mat), v) == s
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
+    s, v = intmat.smith_normal_form(mat)
     m, k = len(mat), len(mat[0])
+    # a unimodular U with U @ mat @ V == S exists exactly when the row spans agree
+    assert intmat.hnf(mat_mul(mat, v), k) == intmat.hnf(s, k)
+    assert abs(det(v)) == 1
     diag = [s[i][i] for i in range(min(m, k))]
     for i in range(m):
         for j in range(k):
@@ -73,12 +75,41 @@ def test_smith_normal_form(mat):
             assert b == 0
 
 
-@given(matrices(max_dim=3, lo=-4, hi=4))
-def test_unimodular_inverse_roundtrip(mat):
-    u, _, v = intmat.smith_normal_form(mat)
-    for w in (u, v):
-        winv = intmat.unimodular_inverse(w)
-        assert mat_mul(w, winv) == intmat.identity(len(w))
+@given(matrices())
+def test_smith_diagonal_matches_sympy(mat):
+    s, _ = intmat.smith_normal_form(mat)
+    ours = [s[i][i] for i in range(min(len(mat), len(mat[0]))) if s[i][i]]
+    theirs = [abs(int(d)) for d in invariant_factors(Matrix(mat), domain=ZZ) if d]
+    assert ours == theirs
+
+
+@given(matrices())
+def test_hnf_matches_sympy(mat):
+    k = len(mat[0])
+    # sympy's HNF is column-style: its columns span the rows of mat
+    h = hermite_normal_form(Matrix(mat).T)
+    cols = [tuple(int(x) for x in h.col(j)) for j in range(h.cols)]
+    assert intmat.hnf(mat, k) == intmat.hnf(cols, k)
+
+
+@given(st.data())
+def test_multiple_order_is_least_by_search(data):
+    # a random square HNF: pivots d_j, entries above pivot j in [0, d_j)
+    k = data.draw(st.integers(1, 3))
+    d = data.draw(st.lists(st.integers(1, 8), min_size=k, max_size=k))
+    h = tuple(
+        tuple(
+            d[j] if j == i else data.draw(st.integers(0, d[j] - 1)) if j > i else 0
+            for j in range(k)
+        )
+        for i in range(k)
+    )
+    assert intmat.hnf_square(h, k) == h
+    v = data.draw(st.lists(entries(), min_size=k, max_size=k))
+    least = next(
+        c for c in range(1, det(h) + 1) if intmat.in_rowspan(h, [c * x for x in v])
+    )
+    assert intmat.multiple_order(h, v) == least
 
 
 def test_lattice_intersect_examples():

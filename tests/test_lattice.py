@@ -1,3 +1,5 @@
+from math import lcm
+
 import pytest
 
 from coidem import lattice
@@ -17,6 +19,7 @@ from coidem.modules import (
     submodule_from_generators,
 )
 from coidem.rings import ModularRing
+from coidem.theorems import factor_lists
 
 from oracles import naive_oracle
 
@@ -31,9 +34,18 @@ def test_counts_examples():
     assert len(enumerate_submodules(module_from_factors(Z4, [4, 2]))) == 8
 
 
+def _gaussian_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def test_counts_closed_forms():
-    # d(n) submodules for Z/n
-    for n in (2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 30):
+    # d(n) submodules for Z/n; 8198 (d = 4) and 75600 (d = 120) are beyond
+    # the element oracle's 4096 guard
+    for n in (2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 30, 8198, 75600):
         m = module_from_factors(ModularRing(n), [n])
         divisor_count = sum(1 for d in range(1, n + 1) if n % d == 0)
         assert len(enumerate_submodules(m)) == divisor_count
@@ -44,6 +56,15 @@ def test_counts_closed_forms():
     # multiplicative across coprime components
     m66 = module_from_factors(ModularRing(6), [6, 6])
     assert len(enumerate_submodules(m66)) == 5 * 6
+    # (Z/p)^r has [r choose k]_p subspaces of dimension k, and each of them
+    # is covered by the [r-k choose 1]_p subspaces one dimension up
+    for p, r, subs, covers in ((2, 5, 374, 2077), (3, 4, 212, 1120), (5, 3, 64, 248)):
+        lat = enumerate_submodules(FinModule(ModularRing(p), (p,) * r))
+        dims = range(r + 1)
+        assert len(lat) == subs == sum(_gaussian_binomial(r, k, p) for k in dims)
+        assert len(lat.covers) == covers == sum(
+            _gaussian_binomial(r, k, p) * _gaussian_binomial(r - k, 1, p) for k in dims
+        )
 
 
 def test_lattice_contains_extremes_and_closure():
@@ -127,21 +148,32 @@ def test_every_submodule_is_meet_of_its_ci_decomposition():
                 assert acc2 != sub
 
 
+def _covers_by_scan(lat):
+    # the cubic definition: all[i] ⊂ all[j] with nothing strictly between
+    leq = lat.leq
+    k = len(lat.all)
+    return {
+        (i, j)
+        for i in range(k)
+        for j in range(k)
+        if i != j
+        and leq[i][j]
+        and not any(l != i and l != j and leq[i][l] and leq[l][j] for l in range(k))
+    }
+
+
 def test_covers_consistency_by_scan():
-    for n, facs in [(12, (12,)), (4, (4, 2)), (2, (2, 2, 2)), (6, (6,))]:
-        m = module_from_factors(ModularRing(n), facs)
+    shapes = sorted({f for n in range(2, 33) for f in factor_lists(n, 32)})
+    assert len(shapes) == 77  # every factor shape of order <= 32
+    modules = [FinModule(ModularRing(lcm(*f)), f) for f in shapes]
+    modules.append(
+        product_module(
+            module_from_factors(Z4, [4, 2]), module_from_factors(ModularRing(3), [3])
+        )
+    )
+    for m in modules:
         lat = enumerate_submodules(m)
-        leq = lat.leq
-        k = len(lat.all)
-        expected = set()
-        for i in range(k):
-            for j in range(k):
-                if i != j and leq[i][j]:
-                    if not any(
-                        l != i and l != j and leq[i][l] and leq[l][j] for l in range(k)
-                    ):
-                        expected.add((i, j))
-        assert set(lat.covers) == expected
+        assert set(lat.covers) == _covers_by_scan(lat), m
 
 
 def test_product_lattice():

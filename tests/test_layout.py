@@ -1,12 +1,14 @@
-"""Layout guard: every top-level function or class in the package has a use.
+"""Layout guard: every function, class and method in the package has a use.
 
 A definition counts as used when some module of `src/coidem` names it outside
-its own body (a call, an attribute access, an import, a registry entry), or
-when `coidem/__init__.py` exports it.  Helpers only the tests need live in
-`tests/oracles.py` instead.
+its own body (a call, an attribute access, an import, a registry entry).  A
+top-level function or class also counts as used when `coidem/__init__.py`
+exports it; a method (dunders aside) must be named in `src/`.  Helpers only
+the tests need live in `tests/oracles.py` instead.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import coidem
@@ -24,6 +26,18 @@ def _names(node):
             yield from (alias.name for alias in sub.names)
 
 
+def _definitions(tree):
+    """(node, exportable) for each top-level def and each non-dunder method."""
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node, True
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, defs) and not member.name.startswith("__"):
+                    yield member, False
+
+
 def test_every_definition_is_used_or_exported():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     exported = {
@@ -32,18 +46,15 @@ def test_every_definition_is_used_or_exported():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    # the names each top-level statement mentions, __init__.py's exports aside
-    mentions = [
-        (top, set(_names(top)))
-        for fname, tree in trees.items()
-        if fname != "__init__.py"
-        for top in tree.body
-    ]
+    # every name mentioned in the package, __init__.py's exports aside
+    mentions = Counter(
+        name for fname, tree in trees.items() if fname != "__init__.py" for name in _names(tree)
+    )
     unused = []
     for fname, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+        for node, exportable in _definitions(tree):
+            if exportable and node.name in exported:
                 continue
-            if not any(node.name in names for top, names in mentions if top is not node):
+            if mentions[node.name] - Counter(_names(node))[node.name] <= 0:
                 unused.append(f"{fname}:{node.lineno} {node.name}")
     assert not unused, "defined but never used in src/coidem: " + ", ".join(unused)

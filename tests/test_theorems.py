@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+from coidem import theorems
 from coidem.modules import FinModule, module_from_factors
 from coidem.multsets import MultSet, closure_in_ring, reduce_presentation, ZComplementOfPrimes
 from coidem.rings import ModularRing
@@ -66,6 +67,21 @@ def test_corpus_is_deterministic():
     a = generate_corpus(SMALL)
     b = generate_corpus(SMALL)
     assert [i.label for i in a] == [i.label for i in b]
+
+
+def test_corpus_builds_multsets_only_for_moduli_with_modules(monkeypatch):
+    asked = []
+
+    def recording_s_choices(ring):
+        asked.append(ring.n)
+        return s_choices(ring)
+
+    monkeypatch.setattr(theorems, "s_choices", recording_s_choices)
+    # no module of order <= 2 lives over Z/3 or Z/5
+    cfg = CorpusConfig(moduli=(3, 4, 5, 6), max_order=2, include_products=False)
+    corpus = generate_corpus(cfg)
+    assert asked == [4, 6]
+    assert {inst.module.ring.n for inst in corpus} == {4, 6}
 
 
 def test_fuzz_mode_logs_seed():
