@@ -35,7 +35,13 @@ from .predicates import (
 )
 from .rings import UnsupportedRingError
 from .specs import SpecError, parse_module, parse_multset, parse_ring, parse_submodule
-from .theorems import CorpusConfig, generate_corpus, reproduce_examples, verify_all
+from .theorems import (
+    CorpusConfig,
+    generate_corpus,
+    reproduce_examples,
+    theorem_registry,
+    verify_all,
+)
 
 POINTWISE = ("coidempotent", "idempotent", "pure", "copure", "direct-summand", "finite")
 MODULE_LEVEL = (
@@ -218,7 +224,21 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _parse_theorem_ids(text: str) -> set[str]:
+    ids = {tid.strip() for tid in text.split(",") if tid.strip()}
+    valid = [t.id for t in theorem_registry()]
+    unknown = sorted(ids - set(valid))
+    if unknown or not ids:
+        what = f"unknown theorem id(s) {', '.join(unknown)}" if unknown else "no theorem id"
+        raise SpecError(f"{what} in {text!r}; valid ids: {', '.join(valid)}")
+    return ids
+
+
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.fuzz < 0:
+        raise SpecError(f"--fuzz must be at least 0, got {args.fuzz}")
     config = CorpusConfig(
         moduli=_parse_moduli(args.moduli),
         max_order=args.max_order,
@@ -226,9 +246,7 @@ def cmd_verify(args) -> int:
         fuzz=args.fuzz,
         seed=args.seed,
     )
-    theorem_ids = None
-    if args.theorems:
-        theorem_ids = {tid.strip() for tid in args.theorems.split(",") if tid.strip()}
+    theorem_ids = _parse_theorem_ids(args.theorems) if args.theorems else None
     corpus = generate_corpus(config)
     report = verify_all(
         corpus,

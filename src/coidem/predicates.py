@@ -29,6 +29,7 @@ from .lattice import enumerate_submodules
 from .modules import (
     AnyModule,
     AnySubmodule,
+    ProductSubmodule,
     ZModule,
     annihilator,
     colon_into,
@@ -59,6 +60,7 @@ from .rings import (
     UnsupportedRingError,
     all_ideals,
     ideal,
+    ideal_contains,
     ideal_intersect,
     ideal_product,
     unit_ideal,
@@ -362,102 +364,183 @@ def fully_coidempotent_z(s: ZMultSet) -> Verdict:
 
 
 # -- element-level certificate validation ------------------------------------
+#
+# The validator re-decides a certificate on element sets, without `intmat` or
+# the Hermite forms: a set of elements of M is a Python int whose bit i stands
+# for the i-th element of `m.elements()`, and every submodule, annihilator and
+# colon is rebuilt from the module's own `add` and `scale`.
 
 
-def _elements_of(sub: AnySubmodule) -> frozenset:
-    return frozenset(sub.elements())
+@dataclass(frozen=True)
+class _ElementTable:
+    """M's elements with their index, and the action of every ring element.
+
+    `image[r][i]` is the index of r·y_i, `rm[r]` the mask of rM and `kill[r]`
+    the mask of {y : r·y = 0}.
+    """
+
+    elements: tuple
+    index: dict
+    zero: int
+    ring: tuple
+    image: dict
+    rm: dict
+    kill: dict
 
 
-def _ann_set(m: AnyModule, elems) -> list:
-    zero = m.zero_element
-    return [r for r in m.ring.elements() if all(m.scale(r, x) == zero for x in elems)]
+@cache
+def _element_table(m: AnyModule) -> _ElementTable:
+    elements = tuple(m.elements())
+    index = {x: i for i, x in enumerate(elements)}
+    zero = index[m.zero_element]
+    ring = tuple(m.ring.elements())
+    image, rm, kill = {}, {}, {}
+    for r in ring:
+        row = tuple(index[m.scale(r, y)] for y in elements)
+        image[r] = row
+        rm[r] = _mask(row)
+        kill[r] = _mask(i for i, j in enumerate(row) if j == zero)
+    return _ElementTable(elements, index, zero, ring, image, rm, kill)
 
 
-def _additive_closure(m: AnyModule, seed) -> frozenset:
-    zero = m.zero_element
-    current = {zero}
-    frontier = list(set(seed) - current)
-    current.update(frontier)
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for a in list(current):
-                c = m.add(a, g)
-                if c not in current:
-                    current.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return frozenset(current)
+def _mask_union(masks) -> int:
+    out = 0
+    for x in masks:
+        out |= x
+    return out
 
 
+def _mask(indexes) -> int:
+    return _mask_union(1 << i for i in indexes)
+
+
+def _bits(mask: int) -> list:
+    return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+def _image(row, mask: int) -> int:
+    return _mask(row[i] for i in _bits(mask))
+
+
+def _maps_into(row, mask: int, target: int) -> bool:
+    """r·X ⊆ Y, with `row` the image row of r."""
+    return all(target >> row[i] & 1 for i in _bits(mask))
+
+
+def _killed_by(t: _ElementTable, elems) -> int:
+    """(0 :_M I) for the ring elements of I."""
+    out = (1 << len(t.elements)) - 1
+    for r in elems:
+        out &= t.kill[r]
+    return out
+
+
+def _ann(t: _ElementTable, mask: int) -> list:
+    return [r for r in t.ring if not mask & ~t.kill[r]]
+
+
+def _colon(t: _ElementTable, mask: int) -> list:
+    """(N :_R M): the ring elements r with rM ⊆ N."""
+    return [r for r in t.ring if not t.rm[r] & ~mask]
+
+
+def _products(ring, elems) -> set:
+    return {ring.mul(a, b) for a in elems for b in elems}
+
+
+def _additive_closure(m: AnyModule, t: _ElementTable, seed: int) -> int:
+    """The subgroup generated by `seed`, grown one cyclic step at a time.
+
+    For each generator g outside H, H becomes the union of the cosets H + k·g,
+    so each new element costs one `m.add`.
+    """
+    h = 1 << t.zero
+    for g in _bits(seed):
+        if h >> g & 1:
+            continue
+        members = [t.elements[i] for i in _bits(h)]
+        step = shift = t.elements[g]
+        grown = h
+        while not h >> t.index[shift] & 1:
+            grown |= _mask(t.index[m.add(x, shift)] for x in members)
+            shift = m.add(shift, step)
+        h = grown
+    return h
+
+
+@cache
+def _submodule_mask(n: AnySubmodule) -> int:
+    """N's elements: the subgroup of M generated by its basis rows, read mod d_i."""
+    m = n.module
+    if isinstance(n, ProductSubmodule):
+        zeros = [c.zero_element for c in m.components]
+        gens = [
+            tuple(_reduce(part.module, row) if j == c else z for j, z in enumerate(zeros))
+            for c, part in enumerate(n.parts)
+            for row in part.basis
+        ]
+    else:
+        gens = [_reduce(m, row) for row in n.basis]
+    t = _element_table(m)
+    return _additive_closure(m, t, _mask(t.index[g] for g in gens))
+
+
+def _reduce(m, row) -> tuple:
+    return tuple(v % d for v, d in zip(row, m.factors))
+
+
+@cache
 def witness_is_sound(prop: str, m: AnyModule, n: AnySubmodule, verdict: Verdict) -> bool:
-    """Re-validate a positive certificate from scratch, at the element level."""
+    """Re-validate a positive certificate from scratch, at the element level.
+
+    Memoized on the certificate: the harness asks about the same
+    (property, N, s) many times.
+    """
     if not verdict.holds or m.order > 4096:
         return True
-    s_elem = verdict.witness
-    n_set = _elements_of(n)
+    t = _element_table(m)
     ring = m.ring
-    m_elems = list(m.elements())
+    s_elem = ring.normalize(verdict.witness)
+    s_row = t.image[s_elem]
+    n_set = _submodule_mask(n)
     if prop == "coidempotent":
-        ann = _ann_set(m, n_set)
-        x = [
-            y
-            for y in m_elems
-            if all(m.scale(ring.mul(a, b), y) == m.zero_element for a in ann for b in ann)
-        ]
-        return all(m.scale(s_elem, y) in n_set for y in x)
+        x = _killed_by(t, _products(ring, _ann(t, n_set)))
+        return _maps_into(s_row, x, n_set)
     if prop == "comultiplication":
-        ann = _ann_set(m, n_set)
-        x = [
-            y
-            for y in m_elems
-            if all(m.scale(a, y) == m.zero_element for a in ann)
-        ]
-        return set(n_set) <= set(x) and all(m.scale(s_elem, y) in n_set for y in x)
-    if prop == "idempotent":
-        c = [r for r in ring.elements() if all(m.scale(r, y) in n_set for y in m_elems)]
-        prod_seed = [
-            m.scale(ring.mul(a, b), y) for a in c for b in c for y in m_elems
-        ]
-        target = _additive_closure(m, prod_seed)
-        return target <= n_set and all(m.scale(s_elem, y) in target for y in n_set)
-    if prop == "multiplication":
-        c = [r for r in ring.elements() if all(m.scale(r, y) in n_set for y in m_elems)]
-        target = _additive_closure(m, [m.scale(a, y) for a in c for y in m_elems])
-        return target <= n_set and all(m.scale(s_elem, y) in target for y in n_set)
+        x = _killed_by(t, _ann(t, n_set))
+        return not n_set & ~x and _maps_into(s_row, x, n_set)
+    if prop in ("idempotent", "multiplication"):
+        c = _colon(t, n_set)
+        if prop == "idempotent":
+            c = _products(ring, c)
+        target = _additive_closure(m, t, _mask_union(t.rm[r] for r in c))
+        return not target & ~n_set and _maps_into(s_row, n_set, target)
     if prop == "pure":
         for i in all_ideals(ring):
-            i_elems = [r for r in ring.elements() if _ideal_contains_elem(i, r)]
-            im = _additive_closure(m, [m.scale(a, y) for a in i_elems for y in m_elems])
-            i_n = _additive_closure(m, [m.scale(a, y) for a in i_elems for y in n_set])
-            if not all(m.scale(s_elem, y) in i_n for y in (n_set & im)):
+            i_elems = [r for r in t.ring if ideal_contains(i, r)]
+            im = _additive_closure(m, t, _mask_union(t.rm[a] for a in i_elems))
+            i_n = _additive_closure(
+                m, t, _mask_union(_image(t.image[a], n_set) for a in i_elems)
+            )
+            if not _maps_into(s_row, n_set & im, i_n):
                 return False
         return True
     if prop == "copure":
-        zero = m.zero_element
         for i in all_ideals(ring):
-            i_elems = [r for r in ring.elements() if _ideal_contains_elem(i, r)]
-            colon = [
-                y for y in m_elems if all(m.scale(a, y) in n_set for a in i_elems)
-            ]
-            torsion = [
-                y for y in m_elems if all(m.scale(a, y) == zero for a in i_elems)
-            ]
-            target = _additive_closure(m, list(n_set) + torsion)
-            if not all(m.scale(s_elem, y) in target for y in colon):
+            i_elems = [r for r in t.ring if ideal_contains(i, r)]
+            colon = _mask(
+                y
+                for y in range(len(t.elements))
+                if all(n_set >> t.image[a][y] & 1 for a in i_elems)
+            )
+            target = _additive_closure(m, t, n_set | _killed_by(t, i_elems))
+            if not _maps_into(s_row, colon, target):
                 return False
         return True
     if prop == "direct_summand":
-        k_set = _elements_of(verdict.complement)
-        sm = {m.scale(s_elem, y) for y in m_elems}
-        summed = {m.add(a, b) for a in n_set for b in k_set}
-        if sm != summed:
+        k_set = _submodule_mask(verdict.complement)
+        if t.rm[s_elem] != _additive_closure(m, t, n_set | k_set):
             return False
-        return (n_set & k_set) == {m.zero_element}
+        return n_set & k_set == 1 << t.zero
     raise ValueError(f"no validator for {prop!r}")
 
-
-def _ideal_contains_elem(i: Ideal, r) -> bool:
-    from .rings import ideal_contains
-
-    return ideal_contains(i, r)

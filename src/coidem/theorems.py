@@ -80,6 +80,7 @@ from .rings import (
     unit_ideal,
     units,
 )
+from .specs import SpecError
 
 
 # -- cached predicate layer (everything is hashable) --------------------------
@@ -713,12 +714,16 @@ def generate_corpus(config: CorpusConfig = CorpusConfig()) -> list[Instance]:
     if config.fuzz:
         import random
 
+        moduli = [n for n in config.moduli if factor_lists(n, config.max_order)]
+        if not moduli:
+            raise SpecError(
+                f"--fuzz needs a modulus with a module of order <= {config.max_order}"
+            )
         rng = random.Random(config.seed)
         for _ in range(config.fuzz):
-            n = rng.choice(config.moduli)
+            n = rng.choice(moduli)
             ring = ModularRing(n)
-            lists = factor_lists(n, config.max_order)
-            factors = rng.choice(lists)
+            factors = rng.choice(factor_lists(n, config.max_order))
             gens = [rng.randrange(n) for _ in range(rng.randint(1, 2))]
             s = closure_in_ring(ring, gens)
             inst = _instance(FinModule(ring, factors), s)
@@ -780,6 +785,9 @@ def _validate_instance_witnesses(inst: Instance) -> tuple[int, int]:
     The coidempotency, comultiplication, multiplication and idempotency
     witnesses are checked on every corpus instance; the (co)purity validators
     walk ideal-by-ideal element closures and run on modules of order <= 16.
+    `witness_is_sound` works on bitmasks over M's elements, independently of
+    `intmat`, and is memoized on (property, N, witness): `checked` counts
+    every certificate asked about, repeated ones included.
     """
     m, s = inst.module, inst.multset
     checked = failed = 0

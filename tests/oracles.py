@@ -26,6 +26,7 @@ from coidem.rings import (
     RingMismatchError,
     UnsupportedRingError,
     all_ideals,
+    ideal_contains,
     ideal_product,
 )
 
@@ -169,3 +170,103 @@ def pointwise_by_scan(prop: str, m, n, s) -> Verdict:
         if ok:
             return Verdict(True, witness=elem)
     return Verdict(False)
+
+
+# -- certificates by element scans -------------------------------------------------
+
+
+def _elements_of(sub) -> frozenset:
+    return frozenset(sub.elements())
+
+
+def _ann_set(m, elems) -> list:
+    zero = m.zero_element
+    return [r for r in m.ring.elements() if all(m.scale(r, x) == zero for x in elems)]
+
+
+def _additive_closure(m, seed) -> frozenset:
+    zero = m.zero_element
+    current = {zero}
+    frontier = list(set(seed) - current)
+    current.update(frontier)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for a in list(current):
+                c = m.add(a, g)
+                if c not in current:
+                    current.add(c)
+                    fresh.append(c)
+        frontier = fresh
+    return frozenset(current)
+
+
+def witness_is_sound_by_scan(prop: str, m, n, verdict) -> bool:
+    """The element-scan validator that `predicates.witness_is_sound` replaced.
+
+    Element sets are frozensets from `Submodule.elements()`, and every
+    annihilator, colon and closure is a direct scan over M and R.
+    """
+    if not verdict.holds or m.order > 4096:
+        return True
+    s_elem = verdict.witness
+    n_set = _elements_of(n)
+    ring = m.ring
+    m_elems = list(m.elements())
+    if prop == "coidempotent":
+        ann = _ann_set(m, n_set)
+        x = [
+            y
+            for y in m_elems
+            if all(m.scale(ring.mul(a, b), y) == m.zero_element for a in ann for b in ann)
+        ]
+        return all(m.scale(s_elem, y) in n_set for y in x)
+    if prop == "comultiplication":
+        ann = _ann_set(m, n_set)
+        x = [
+            y
+            for y in m_elems
+            if all(m.scale(a, y) == m.zero_element for a in ann)
+        ]
+        return set(n_set) <= set(x) and all(m.scale(s_elem, y) in n_set for y in x)
+    if prop == "idempotent":
+        c = [r for r in ring.elements() if all(m.scale(r, y) in n_set for y in m_elems)]
+        prod_seed = [
+            m.scale(ring.mul(a, b), y) for a in c for b in c for y in m_elems
+        ]
+        target = _additive_closure(m, prod_seed)
+        return target <= n_set and all(m.scale(s_elem, y) in target for y in n_set)
+    if prop == "multiplication":
+        c = [r for r in ring.elements() if all(m.scale(r, y) in n_set for y in m_elems)]
+        target = _additive_closure(m, [m.scale(a, y) for a in c for y in m_elems])
+        return target <= n_set and all(m.scale(s_elem, y) in target for y in n_set)
+    if prop == "pure":
+        for i in all_ideals(ring):
+            i_elems = [r for r in ring.elements() if ideal_contains(i, r)]
+            im = _additive_closure(m, [m.scale(a, y) for a in i_elems for y in m_elems])
+            i_n = _additive_closure(m, [m.scale(a, y) for a in i_elems for y in n_set])
+            if not all(m.scale(s_elem, y) in i_n for y in (n_set & im)):
+                return False
+        return True
+    if prop == "copure":
+        zero = m.zero_element
+        for i in all_ideals(ring):
+            i_elems = [r for r in ring.elements() if ideal_contains(i, r)]
+            colon = [
+                y for y in m_elems if all(m.scale(a, y) in n_set for a in i_elems)
+            ]
+            torsion = [
+                y for y in m_elems if all(m.scale(a, y) == zero for a in i_elems)
+            ]
+            target = _additive_closure(m, list(n_set) + torsion)
+            if not all(m.scale(s_elem, y) in target for y in colon):
+                return False
+        return True
+    if prop == "direct_summand":
+        k_set = _elements_of(verdict.complement)
+        sm = {m.scale(s_elem, y) for y in m_elems}
+        summed = {m.add(a, b) for a in n_set for b in k_set}
+        if sm != summed:
+            return False
+        return (n_set & k_set) == {m.zero_element}
+    raise ValueError(f"no validator for {prop!r}")

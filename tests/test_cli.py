@@ -127,6 +127,34 @@ def test_verify_empty_corpus(capsys):
     assert code == 0 and "instances: 0" in out
 
 
+def test_verify_argument_errors_exit_2(capsys):
+    """Unknown theorem ids, --jobs below 1, --fuzz below 0, a fuzz draw with no module."""
+    code, out, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", "T02,T99")
+    assert code == 2 and not out and "T99" in err and "T01" in err and "T20" in err
+    code, _, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", ",")
+    assert code == 2 and "valid ids" in err
+    for flag, value in (("--jobs", "0"), ("--jobs", "-1"), ("--fuzz", "-1")):
+        code, out, err = run_cli(capsys, "verify", "--moduli", "2", flag, value)
+        assert code == 2 and not out and flag in err
+    code, out, err = run_cli(
+        capsys, "verify", "--moduli", "3-3", "--max-order", "2", "--fuzz", "1"
+    )
+    assert code == 2 and not out and "--fuzz" in err
+
+
+def test_verify_fuzz_draws_only_moduli_with_a_module(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(
+        capsys,
+        "verify", "--moduli", "3,2,5", "--max-order", "2", "--no-products",
+        "--theorems", "T02", "--fuzz", "4", "--out", str(out_path),
+    )
+    assert code == 0
+    fuzzed = [r["instance"] for r in json.loads(out_path.read_text())["results"]]
+    fuzzed = [label for label in fuzzed if "fuzz-seed" in label]
+    assert len(fuzzed) == 4 and all(label.startswith("ring=Z/2|") for label in fuzzed)
+
+
 def test_reproduce_examples_cli(capsys):
     code, out, _ = run_cli(capsys, "reproduce-examples")
     assert code == 0
@@ -242,11 +270,11 @@ _ARGV = st.one_of(
         _ring_and_module(), st.integers(-1, 200),
     ),
     st.builds(
-        lambda moduli: [
+        lambda moduli, fuzz: [
             "verify", "--moduli", moduli, "--max-order", "2", "--no-products",
-            "--theorems", "T02",
+            "--theorems", "T02", "--fuzz", str(fuzz),
         ],
-        _MODULI,
+        _MODULI, st.integers(0, 2),
     ),
     st.just(["reproduce-examples", "--json"]),
 )

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -24,6 +25,7 @@ from coidem.multsets import (
     satisfies_max_multiple,
 )
 from coidem.predicates import (
+    Verdict,
     coidempotent,
     comultiplication,
     copure,
@@ -40,8 +42,10 @@ from coidem.predicates import (
     witness_is_sound,
 )
 from coidem.rings import ModularRing, UnsupportedRingError, Z, all_ideals, ideal_contains
+from coidem.specs import parse_module, parse_ring
+from coidem.theorems import factor_lists
 
-from oracles import pointwise_by_scan
+from oracles import pointwise_by_scan, witness_is_sound_by_scan
 
 Z2, Z4, Z6, Z12 = ModularRing(2), ModularRing(4), ModularRing(6), ModularRing(12)
 M4 = module_from_factors(Z4, [4])
@@ -316,6 +320,80 @@ def test_witness_soundness_and_determinism():
                 assert ds1 == ds2
                 if ds1.holds:
                     assert witness_is_sound("direct_summand", m, n, ds1)
+
+
+# -- the element-level validator against its scan twin ----------------------
+
+POINTWISE = (
+    "coidempotent", "idempotent", "pure", "copure", "comultiplication", "multiplication",
+)
+
+
+def _validator_modules():
+    """Every module over Z/n with n <= 8 and |M| <= 8, and two product modules."""
+    for n in range(2, 9):
+        for factors in factor_lists(n, 8):
+            yield FinModule(ModularRing(n), factors)
+    for ring, module in (("Z/4 x Z/3", "Z/2 x Z/3"), ("Z/2 x Z/4", "Z/2+Z/2 x Z/4")):
+        yield parse_module(parse_ring(ring), module)
+
+
+def test_witness_validator_matches_scan():
+    """Every N, every ring element as s, every property and complement K."""
+    outcomes = {True: 0, False: 0}
+    for m in _validator_modules():
+        lattice = enumerate_submodules(m).all
+        for n in lattice:
+            for s in m.ring.elements():
+                cases = [(prop, Verdict(True, witness=s)) for prop in POINTWISE]
+                cases += [
+                    ("direct_summand", Verdict(True, witness=s, complement=k)) for k in lattice
+                ]
+                for prop, verdict in cases:
+                    want = witness_is_sound_by_scan(prop, m, n, verdict)
+                    assert witness_is_sound(prop, m, n, verdict) == want, (prop, m, n, verdict)
+                    outcomes[want] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
+
+
+def test_witness_memo_keeps_bad_witness_false():
+    """A memoized good certificate does not vouch for a bad one on the same (prop, N)."""
+    n = submodule_from_generators(M4, [(2,)])
+    assert witness_is_sound("coidempotent", M4, n, Verdict(True, witness=2))
+    assert not witness_is_sound("coidempotent", M4, n, Verdict(True, witness=1))
+    assert witness_is_sound("coidempotent", M4, n, Verdict(True, witness=2))
+    k = submodule_from_generators(M22, [(0, 1)])
+    n = submodule_from_generators(M22, [(1, 0)])
+    assert witness_is_sound("direct_summand", M22, n, Verdict(True, witness=1, complement=k))
+    assert not witness_is_sound("direct_summand", M22, n, Verdict(True, witness=1, complement=n))
+
+
+def test_witness_validator_calls_no_intmat(monkeypatch):
+    """The validator rebuilds N from its basis rows, never from canonical forms."""
+    from coidem import intmat
+
+    m = parse_module(parse_ring("Z/4 x Z/3"), "Z/2+Z/4 x Z/3")
+    lattice = enumerate_submodules(m).all
+    verdicts = [
+        (prop, n, Verdict(True, witness=s, complement=lattice[0]))
+        for n in lattice
+        for s in m.ring.elements()
+        for prop in POINTWISE + ("direct_summand",)
+    ]
+    want = [witness_is_sound_by_scan(prop, m, n, v) for prop, n, v in verdicts]
+    for name in ("_element_table", "_submodule_mask", "witness_is_sound"):
+        getattr(predicates, name).cache_clear()
+
+    def forbidden(*args):
+        raise AssertionError("the validator called intmat")
+
+    packages = [mod for key, mod in sys.modules.items() if key.split(".")[0] == "coidem"]
+    for mod in packages:  # intmat itself and every name imported from it
+        for name, value in list(vars(mod).items()):
+            if callable(value) and getattr(value, "__module__", None) == intmat.__name__:
+                monkeypatch.setattr(mod, name, forbidden)
+    got = [witness_is_sound(prop, m, n, v) for prop, n, v in verdicts]
+    assert got == want and True in got and False in got
 
 
 def test_scan_oracle_agreement():
