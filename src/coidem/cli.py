@@ -239,6 +239,8 @@ def cmd_verify(args) -> int:
         raise SpecError(f"--jobs must be at least 1, got {args.jobs}")
     if args.fuzz < 0:
         raise SpecError(f"--fuzz must be at least 0, got {args.fuzz}")
+    if args.max_order < 1:
+        raise SpecError(f"--max-order must be at least 1, got {args.max_order}")
     config = CorpusConfig(
         moduli=_parse_moduli(args.moduli),
         max_order=args.max_order,

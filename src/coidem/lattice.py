@@ -1,21 +1,22 @@
 """Full submodule-lattice enumeration, completely irreducible detection and
 irredundant intersection decompositions.
 
-Enumeration strategy: split the module into p-primary components, enumerate
-each component's lattice by a closure fixpoint (start from 0, adjoin single
-elements, dedup by canonical Hermite basis), then glue across primes via CRT
-lifts; the subgroup lattice of a finite abelian group is the product of the
-lattices of its p-components.
+A submodule of ⊕ Z/f_i is a lattice L with diag(f)·Z^k ⊆ L ⊆ Z^k, stored as
+its square row-Hermite basis H.  Each p-primary component's bases are built
+row by row from the bottom: row i is (0, ..., 0, d, t) with d | f_i and
+0 <= t_j < h_jj, kept when (f_i/d)·t lies in the span of the rows below
+(that is, f_i·e_i ∈ L), so every submodule comes out once, already canonical.
+The components are glued across primes via CRT lifts: the subgroup lattice of
+a finite abelian group is the product of the lattices of its p-components.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from functools import cache, cached_property
+from math import gcd
 
-import itertools
-
-from .intmat import hnf_square
 from .modules import (
     AnyModule,
     AnySubmodule,
@@ -26,7 +27,7 @@ from .modules import (
     _submodule,
     sub_leq,
 )
-from .rings import factorize
+from .rings import divisors, factorize
 
 DEFAULT_CAP = 100_000
 
@@ -97,73 +98,67 @@ class SubmoduleLattice:
         return tuple(self.all[i] for i in self.completely_irreducible_indexes)
 
 
+def _tails(c: int, below) -> list[tuple[int, ...]]:
+    """Every t with 0 <= t_j < h_jj and c·t in the row span of the Hermite basis
+    `below`: column by column, t_j solves c·t_j ≡ -r_j (mod h_jj), r being what
+    the rows chosen so far leave of c·t; gcd(c, h_jj) solutions or none."""
+    partial = [((), (0,) * len(below))]
+    for j, row in enumerate(below):
+        h = row[j]
+        g = gcd(c, h)
+        step = h // g
+        inverse = pow(c // g, -1, step)
+        grown = []
+        for t, r in partial:
+            if r[j] % g:
+                continue
+            for tj in range(-r[j] // g * inverse % step, h, step):
+                q = (c * tj + r[j]) // h
+                grown.append((t + (tj,), tuple(x - q * y for x, y in zip(r, row))))
+        partial = grown
+    return [t for t, _ in partial]
+
+
 @cache
 def _p_component_bases_cached(factors: tuple[int, ...], cap: int):
-    """All sublattice bases of ⊕ Z/f_i by closure fixpoint (any factor list).
+    """Every square row-Hermite basis H with diag(factors)·Z^k ⊆ L(H).
 
+    Row 0 is built over each basis of the tail ⊕_{i>0} Z/f_i, whose lattice is
+    never larger than the whole one, so the cap is checked at every level.
     Cached on the factor shape and cap alone: the subgroup lattice of ⊕ Z/f_i
     does not depend on which ambient ring the module lives over.
     """
-    k = len(factors)
-    if k == 0:
-        return [()]  # the empty basis of Z^0
-    relations = tuple(
-        tuple(factors[i] if j == i else 0 for j in range(k)) for i in range(k)
-    )
-    zero = hnf_square(relations, k)
-    found = {zero}
-    frontier = [zero]
-    elements = list(itertools.product(*(range(f) for f in factors)))
-    from .intmat import in_rowspan
-
-    while frontier:
-        fresh = []
-        for base in frontier:
-            for m in elements:
-                if in_rowspan(base, m):
-                    continue
-                b2 = hnf_square(base + (m,), k)
-                if b2 not in found:
-                    found.add(b2)
-                    fresh.append(b2)
-                    if len(found) > cap:
-                        raise LatticeCapExceeded(
-                            f"more than {cap} submodules; raise the cap to proceed"
-                        )
-        frontier = fresh
-    return sorted(found)
+    if not factors:
+        return [()]
+    f = factors[0]
+    out = []
+    for below in _p_component_bases_cached(factors[1:], cap):
+        lower = tuple((0, *row) for row in below)
+        for d in divisors(f):
+            for t in _tails(f // d, below):
+                out.append(((d, *t), *lower))
+                if len(out) > cap:
+                    raise LatticeCapExceeded(
+                        f"more than {cap} submodules; raise the cap to proceed"
+                    )
+    return out
 
 
 def _crt_lift(residue: int, q: int, m: int) -> int:
     """The x mod qm with x ≡ residue (mod q) and x ≡ 0 (mod m), gcd(q, m) = 1."""
-    if m == 1:
-        return residue % q
     inv = pow(m % q, -1, q)
     return (residue * m * inv) % (q * m)
 
 
 def _modular_lattice_bases(m: FinModule, cap: int):
-    k = m.rank
-    if k == 0:
-        return [()]
-    primes = sorted(factorize(m.exponent))
-    per_prime = []
-    for p in primes:
-        coords = []
-        pparts = []
-        for i, d in enumerate(m.factors):
-            e = 0
-            dd = d
-            while dd % p == 0:
-                e += 1
-                dd //= p
-            if e:
-                coords.append(i)
-                pparts.append(p**e)
-        per_prime.append((p, coords, tuple(pparts)))
+    per_prime: dict[int, list[tuple[int, int]]] = {}
+    for i, d in enumerate(m.factors):
+        for p, e in factorize(d).items():
+            per_prime.setdefault(p, []).append((i, p**e))
     component_bases = []
     total = 1
-    for p, coords, pparts in per_prime:
+    for p in sorted(per_prime):
+        coords, pparts = zip(*per_prime[p])
         bases = _p_component_bases_cached(pparts, cap)
         total *= len(bases)
         if total > cap:
@@ -176,10 +171,9 @@ def _modular_lattice_bases(m: FinModule, cap: int):
         rows = []
         for (coords, pparts, _), base in zip(component_bases, combo):
             for row in base:
-                wide = [0] * k
-                for pos, i in enumerate(coords):
-                    q = pparts[pos]
-                    wide[i] = _crt_lift(row[pos], q, m.factors[i] // q)
+                wide = [0] * m.rank
+                for i, q, x in zip(coords, pparts, row):
+                    wide[i] = _crt_lift(x, q, m.factors[i] // q)
                 rows.append(tuple(wide))
         out.append(_submodule(m, rows).basis)
     return out
@@ -209,8 +203,6 @@ def enumerate_submodules(m: AnyModule, cap: int = DEFAULT_CAP) -> SubmoduleLatti
         lattice = SubmoduleLattice(m, subs)
     else:
         bases = _modular_lattice_bases(m, cap)
-        if len(bases) > cap:
-            raise LatticeCapExceeded(f"lattice has {len(bases)} > cap {cap} submodules")
         lattice = SubmoduleLattice(m, [Submodule(m, b) for b in bases])
     _memory_cache[m] = lattice
     return lattice

@@ -65,10 +65,6 @@ class FinModule:
     def order(self) -> int:
         return prod(self.factors)
 
-    @property
-    def exponent(self) -> int:
-        return lcm(*self.factors) if self.factors else 1
-
     def elements(self):
         return itertools.product(*(range(d) for d in self.factors))
 

@@ -53,7 +53,10 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    return tuple(d for d in range(1, n + 1) if n % d == 0)
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)

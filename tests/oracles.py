@@ -5,6 +5,9 @@ Each helper here decides by brute force or by a different algorithm what
 between the two is a real check.  None of them is used by the package.
 """
 
+import itertools
+
+from coidem.intmat import hnf_square, in_rowspan
 from coidem.lattice import LatticeCapExceeded
 from coidem.modules import (
     annihilator,
@@ -115,6 +118,42 @@ def naive_oracle(m, max_order: int = 4096):
                     fresh.append(bigger)
         frontier = fresh
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def closure_bases(factors: tuple[int, ...], cap: int):
+    """All sublattice bases of ⊕ Z/f_i by closure fixpoint (any factor list).
+
+    Starts from the relation lattice and adjoins every element to every basis
+    found, deduplicating by Hermite basis: a different route to the bases
+    `lattice._p_component_bases_cached` builds row by row.
+    """
+    k = len(factors)
+    if k == 0:
+        return [()]  # the empty basis of Z^0
+    relations = tuple(
+        tuple(factors[i] if j == i else 0 for j in range(k)) for i in range(k)
+    )
+    zero = hnf_square(relations, k)
+    found = {zero}
+    frontier = [zero]
+    elements = list(itertools.product(*(range(f) for f in factors)))
+
+    while frontier:
+        fresh = []
+        for base in frontier:
+            for m in elements:
+                if in_rowspan(base, m):
+                    continue
+                b2 = hnf_square(base + (m,), k)
+                if b2 not in found:
+                    found.add(b2)
+                    fresh.append(b2)
+                    if len(found) > cap:
+                        raise LatticeCapExceeded(
+                            f"more than {cap} submodules; raise the cap to proceed"
+                        )
+        frontier = fresh
+    return sorted(found)
 
 
 def torsion_by_scan(m, s: MultSet) -> set:

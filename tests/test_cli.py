@@ -122,18 +122,22 @@ def test_verify_small_and_exit_code(tmp_path, capsys):
 
 def test_verify_empty_corpus(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "--moduli", "2", "--max-order", "0", "--no-products"
+        capsys, "verify", "--moduli", "2", "--max-order", "1", "--no-products"
     )
     assert code == 0 and "instances: 0" in out
 
 
 def test_verify_argument_errors_exit_2(capsys):
-    """Unknown theorem ids, --jobs below 1, --fuzz below 0, a fuzz draw with no module."""
+    """Unknown theorem ids, --jobs, --max-order or --fuzz out of range, a fuzz
+    draw with no module."""
     code, out, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", "T02,T99")
     assert code == 2 and not out and "T99" in err and "T01" in err and "T20" in err
     code, _, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", ",")
     assert code == 2 and "valid ids" in err
-    for flag, value in (("--jobs", "0"), ("--jobs", "-1"), ("--fuzz", "-1")):
+    for flag, value in (
+        ("--jobs", "0"), ("--jobs", "-1"), ("--fuzz", "-1"), ("--max-order", "-4"),
+        ("--max-order", "0"),
+    ):
         code, out, err = run_cli(capsys, "verify", "--moduli", "2", flag, value)
         assert code == 2 and not out and flag in err
     code, out, err = run_cli(

@@ -1,8 +1,12 @@
+import importlib.util
+import itertools
 from math import lcm
+from pathlib import Path
 
 import pytest
+from sympy import divisor_count
 
-from coidem import lattice
+from coidem import cli, lattice
 from coidem.lattice import (
     LatticeCapExceeded,
     ci_decomposition,
@@ -21,7 +25,7 @@ from coidem.modules import (
 from coidem.rings import ModularRing
 from coidem.theorems import factor_lists
 
-from oracles import naive_oracle
+from oracles import closure_bases, naive_oracle
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -42,13 +46,20 @@ def _gaussian_binomial(n, k, q):
     return num // den
 
 
+def _rank_two_count(p, a, b):
+    """Subgroups of Z/p^a + Z/p^b, a <= b (L. Tóth, Tatra Mt. Math. Publ. 59, 2014)."""
+    num = (
+        (b - a + 1) * p ** (a + 2) - (b - a - 1) * p ** (a + 1) - (a + b + 3) * p + (a + b + 1)
+    )
+    return num // (p - 1) ** 2
+
+
 def test_counts_closed_forms():
-    # d(n) submodules for Z/n; 8198 (d = 4) and 75600 (d = 120) are beyond
-    # the element oracle's 4096 guard
-    for n in (2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 30, 8198, 75600):
+    # d(n) submodules for Z/n; from 8198 on beyond the element oracle's 4096
+    # guard, and 5^9, the prime 10^9 + 7 and 10^9 beyond any element scan
+    for n in (2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 30, 8198, 75600, 5**9, 10**9 + 7, 10**9):
         m = module_from_factors(ModularRing(n), [n])
-        divisor_count = sum(1 for d in range(1, n + 1) if n % d == 0)
-        assert len(enumerate_submodules(m)) == divisor_count
+        assert len(enumerate_submodules(m)) == divisor_count(n)
     # p + 3 submodules for Z/p + Z/p
     for p in (2, 3, 5):
         m = module_from_factors(ModularRing(p), [p, p])
@@ -65,6 +76,36 @@ def test_counts_closed_forms():
         assert len(lat.covers) == covers == sum(
             _gaussian_binomial(r, k, p) * _gaussian_binomial(r - k, 1, p) for k in dims
         )
+    # (Z/2)^6 is counted only: its covers take minutes in the leq table
+    lat = enumerate_submodules(FinModule(Z2, (2,) * 6))
+    assert len(lat) == 2825 == sum(_gaussian_binomial(6, k, 2) for k in range(7))
+    # rank two: Z/p^a + Z/p^b in either coordinate order, and glued across primes
+    cases = [(p, a, b) for p in (2, 3, 5, 7) for b in range(1, 7) for a in range(1, b + 1)]
+    cases = [c for c in cases if c[0] ** (c[1] + c[2]) <= 10**6] + [(2, 10, 12)]
+    assert len(cases) == 70
+    for p, a, b in cases:
+        for factors in {(p**a, p**b), (p**b, p**a)}:
+            m = FinModule(ModularRing(p**b), factors)
+            assert len(enumerate_submodules(m)) == _rank_two_count(p, a, b), factors
+    assert _rank_two_count(2, 6, 6) == 367 and _rank_two_count(2, 10, 12) == 10213
+    m = FinModule(ModularRing(4 * 27), (2 * 9, 4 * 27))
+    assert len(enumerate_submodules(m)) == _rank_two_count(2, 1, 2) * _rank_two_count(3, 2, 3)
+
+
+def test_generator_matches_closure_fixpoint():
+    """Row-by-row bases equal the closure fixpoint's, on every prime-power
+    shape of order <= 50 in every coordinate order."""
+    shapes = {
+        tuple(p**e for e in exps)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+        for k in range(1, 6)
+        for exps in itertools.product(range(1, 6), repeat=k)
+        if p ** sum(exps) <= 50
+    }
+    assert len(shapes) == 55
+    for factors in sorted(shapes):
+        bases = lattice._p_component_bases_cached(factors, lattice.DEFAULT_CAP)
+        assert sorted(bases) == closure_bases(factors, lattice.DEFAULT_CAP), factors
 
 
 def test_lattice_contains_extremes_and_closure():
@@ -184,3 +225,30 @@ def test_product_lattice():
     assert len(lat) == 4
     oracle = naive_oracle(mp)
     assert {frozenset(s.elements()) for s in lat.all} == set(oracle)
+
+
+def _bench_tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_enumerate_reaches_every_layer_the_lattice_benchmark_traces(monkeypatch, capsys):
+    """`enumerate --hasse` calls each function the benchmark's `lattice`
+    workload must trace, so dropping one from the lattice path fails here."""
+    tracing = _bench_tracing()
+    monkeypatch.setattr(lattice, "_memory_cache", {})
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(
+            ["enumerate", "--ring", "Z/12", "--module", "Z/2+Z/12", "--hasse", "--json"]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0 and '"count": 16' in capsys.readouterr().out
+    summary = tracer.summary()
+    missed = [n for n in tracing.EXERCISED["lattice"] if not summary.get(n, {}).get("calls")]
+    assert not missed

@@ -126,6 +126,11 @@ def test_divides_vs_ideal_inclusion(n, t, s):
     assert left == right
 
 
+def test_divisors_match_scan():
+    for n in range(1, 3000):
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
 def test_ideal_count_matches_divisor_count():
     for n in range(2, 65):
         assert len(all_ideals(ModularRing(n))) == len(divisors(n))
