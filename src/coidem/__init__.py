@@ -18,7 +18,6 @@ from .rings import (
     maximal_ideals,
     prime_ideals,
     product_ring,
-    quotient_ring,
     units,
 )
 from .multsets import (
@@ -29,9 +28,7 @@ from .multsets import (
     ZSaturatedGeneratedBy,
     ZUnits,
     closure_in_ring,
-    localize,
     meets_ideal,
-    multset_contains,
     one_multset,
     product_multset,
     reduce_presentation,

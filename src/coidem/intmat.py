@@ -19,7 +19,6 @@ from __future__ import annotations
 from math import gcd
 
 Matrix = tuple[tuple[int, ...], ...]
-Vector = tuple[int, ...]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -45,11 +44,6 @@ def diagonal(values) -> Matrix:
     values = list(values)
     k = len(values)
     return tuple(tuple(values[i] if i == j else 0 for j in range(k)) for i in range(k))
-
-
-def vec_mat(x, b: Matrix) -> Vector:
-    cols = len(b[0]) if b else 0
-    return tuple(sum(x[i] * b[i][j] for i in range(len(x))) for j in range(cols))
 
 
 def hnf(rows, width: int) -> Matrix:
@@ -158,16 +152,16 @@ def lattice_intersect(h1: Matrix, h2: Matrix, k: int) -> Matrix:
     return hnf_square(out, k)
 
 
-def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
-    """Return (S, V): V unimodular and rowspan(mat @ V) == rowspan(S).
+def smith_normal_form(mat: Matrix) -> Matrix:
+    """Smith normal form S of mat: S == U @ mat @ V for unimodular U, V.
 
-    S is diagonal with nonnegative entries and s_i | s_{i+1}.  Row operations
-    are not recorded: S == U @ mat @ V for some unimodular U not returned.
+    S is diagonal with nonnegative entries and s_i | s_{i+1}; its nonzero
+    diagonal lists the invariant factors of Z^k / rowspan(mat).  Neither
+    transform is recorded.
     """
     m = len(mat)
     k = len(mat[0]) if m else 0
     s = [list(r) for r in mat]
-    v = [list(r) for r in identity(k)]
     t = 0
     while True:
         pos = None
@@ -185,8 +179,6 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
         if j0 != t:
             for row in s:
                 row[t], row[j0] = row[j0], row[t]
-            for row in v:
-                row[t], row[j0] = row[j0], row[t]
         dirty = False
         for i in range(t + 1, m):
             if s[i][t]:
@@ -198,8 +190,6 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
             if s[t][j]:
                 q = s[t][j] // s[t][t]
                 for row in s:
-                    row[j] -= q * row[t]
-                for row in v:
                     row[j] -= q * row[t]
                 if s[t][j]:
                     dirty = True
@@ -219,4 +209,4 @@ def smith_normal_form(mat: Matrix) -> tuple[Matrix, Matrix]:
         t += 1
         if t >= min(m, k):
             break
-    return tuple(tuple(r) for r in s), tuple(tuple(r) for r in v)
+    return tuple(tuple(r) for r in s)

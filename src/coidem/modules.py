@@ -4,7 +4,8 @@ A finite module M = Z/d_1 ⊕ ... ⊕ Z/d_k over Z/n (each d_i | n) is handled
 through integer lattices: a submodule corresponds to the preimage lattice L
 with D·Z^k ⊆ L ⊆ Z^k, D = diag(d_1, ..., d_k), stored as its unique Hermite
 basis.  Sums, intersections, ideal action, both colon operators, annihilators,
-quotients, torsion and localization all become exact integer linear algebra.
+quotients and torsion all become exact integer linear algebra; localization
+is a closed form in the maximal multiple of S (see `LocalizedModule`).
 
 Over a product ring a module is a tuple of component modules and every
 submodule decomposes componentwise, so the operators act coordinatewise.
@@ -18,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from . import intmat
 from .intmat import Matrix
-from .multsets import MultSet, localize, satisfies_max_multiple
+from .multsets import MultSet, satisfies_max_multiple
 from .rings import (
     Ideal,
     IntegerRing,
@@ -332,53 +333,20 @@ def annihilator(n: AnySubmodule) -> Ideal:
     return colon_ring(zero_submodule(n.module), n)
 
 
-def _invariant_factors(rows) -> tuple[tuple[int, ...], tuple[int, ...], Matrix]:
-    """(factors, kept, V) for Z^k / rowspan(rows), rows of full rank k.
-
-    With (S, V) the Smith form of rows, x ↦ x·V is an isomorphism
-    Z^k / rowspan(rows) → ⊕ Z/s_i; `kept` lists the coordinates with s_i >= 2
-    and `factors` their s_i, the invariant factors of the quotient.
-    """
-    s, v = intmat.smith_normal_form(rows)
-    kept = tuple(i for i in range(len(v)) if s[i][i] >= 2)
-    return tuple(s[i][i] for i in kept), kept, v
+def _invariant_factors(rows) -> tuple[int, ...]:
+    """Invariant factors of Z^k / rowspan(rows), rows a full-rank k×k matrix."""
+    s = intmat.smith_normal_form(rows)
+    return tuple(row[i] for i, row in enumerate(s) if row[i] >= 2)
 
 
-class QuotientModule:
-    """M/N in invariant-factor form, with the projection of submodules.
-
-    Coordinates follow the Smith form of H_N (see `_invariant_factors`);
-    `project_submodule` sends a submodule K ⊇ N of M to K/N.
-    """
-
-    def __init__(self, source, by):
-        if by.module != source:
-            raise RingMismatchError("submodule of a different module")
-        self.source = source
-        if isinstance(source, ProductModule):
-            self._cq = tuple(
-                QuotientModule(c, p) for c, p in zip(source.components, by.parts)
-            )
-            self.module = ProductModule(
-                source.ring, tuple(q.module for q in self._cq)
-            )
-            return
-        factors, self._kept, self._v = _invariant_factors(by.basis)
-        self.module = FinModule(source.ring, factors)
-
-    def project_submodule(self, sub: AnySubmodule) -> AnySubmodule:
-        if isinstance(self.source, ProductModule):
-            parts = tuple(
-                q.project_submodule(p) for q, p in zip(self._cq, sub.parts)
-            )
-            return ProductSubmodule(self.module, parts)
-        rows = [intmat.vec_mat(r, self._v) for r in sub.basis]
-        proj = [tuple(r[i] for i in self._kept) for r in rows]
-        return _submodule(self.module, proj)
-
-
-def quotient_module(m: AnyModule, n: AnySubmodule) -> QuotientModule:
-    return QuotientModule(m, n)
+def quotient_module(m: AnyModule, n: AnySubmodule) -> AnyModule:
+    """M/N in invariant-factor form, componentwise over a product ring."""
+    if n.module != m:
+        raise RingMismatchError("submodule of a different module")
+    if isinstance(m, ProductModule):
+        comps = tuple(quotient_module(c, p) for c, p in zip(m.components, n.parts))
+        return ProductModule(m.ring, comps)
+    return FinModule(m.ring, _invariant_factors(n.basis))
 
 
 def submodule_as_module(n: Submodule) -> FinModule:
@@ -389,7 +357,7 @@ def submodule_as_module(n: Submodule) -> FinModule:
     """
     m = n.module
     c_rows = [intmat.rowspan_coords(n.basis, rel) for rel in _relation_rows(m)]
-    return FinModule(m.ring, _invariant_factors(c_rows)[0])
+    return FinModule(m.ring, _invariant_factors(c_rows))
 
 
 def s_torsion(m: AnyModule, s: MultSet) -> AnySubmodule:
@@ -401,58 +369,69 @@ def s_torsion(m: AnyModule, s: MultSet) -> AnySubmodule:
 
 
 class LocalizedModule:
-    """S⁻¹M modeled as M/(S-torsion) over the localized ring.
+    """S⁻¹M in closed form through the maximal multiple s* of S.
 
-    `map_submodule` sends N ≤ M to the model of S⁻¹N; `map_ideal` sends an
-    ideal of R to its image in the localized ring.  `trivial` flags 0 ∈ S.
+    Every s in S divides s*, so over a ring component Z/n the kernel of
+    R → S⁻¹R is Ann(s*) and S⁻¹R = Z/(n/g) with g = gcd(s*, n).  The
+    S-torsion (0 :_M s*) of M = ⊕ Z/d_i is ⊕ (d_i/g_i)Z/d_i with
+    g_i = gcd(d_i, s*), so S⁻¹M = M/(S-torsion) = ⊕ Z/(d_i/g_i), coordinate
+    by coordinate.  Factors 1 and ring components of modulus 1 drop out;
+    `trivial` flags the zero ring (0 ∈ S).  `map_submodule` sends N ≤ M to
+    S⁻¹N and `map_ideal` sends an ideal of R to its image in S⁻¹R.
     """
 
     def __init__(self, m: AnyModule, s: MultSet):
+        if s.ring != m.ring:
+            raise RingMismatchError("multiplicative set over a different ring")
         self.source = m
-        self.localization = localize(m.ring, s)
-        if self.localization.trivial:
-            self.torsion = None
-            self.module = None
-            return
-        self.torsion = s_torsion(m, s)
-        self._quo = quotient_module(m, self.torsion)
-        loc = self.localization
-        if isinstance(m, ProductModule):
-            kept = loc.quotient.kept
-            ring2 = loc.ring
-            self._kept = kept
-            comps = tuple(
-                FinModule(ring2.components[pos], self._quo.module.components[i].factors)
-                for pos, i in enumerate(kept)
-            )
-            self.module = ProductModule(ring2, comps)
+        star = satisfies_max_multiple(s)
+        product = isinstance(m, ProductModule)
+        comps, stars = (m.components, star) if product else ((m,), (star,))
+        elems = s.elements if product else [(x,) for x in s.elements]
+        self._kept = []  # (ring component, kept coordinates) per surviving component
+        mods = []
+        for t, (c, x) in enumerate(zip(comps, stars)):
+            modulus = c.ring.n // gcd(x, c.ring.n)
+            if modulus == 1:
+                continue
+            if any(gcd(e[t], modulus) != 1 for e in elems):
+                raise AssertionError("localized image of S must consist of units")
+            local = tuple(d // gcd(d, x) for d in c.factors)
+            cols = tuple(i for i, d in enumerate(local) if d > 1)
+            mods.append(FinModule(ModularRing(modulus), tuple(local[i] for i in cols)))
+            self._kept.append((t, cols))
+        self.trivial = not mods
+        if self.trivial:
+            self.ring = self.module = None
+        elif product:
+            self.ring = ProductRing(tuple(c.ring for c in mods))
+            self.module = ProductModule(self.ring, tuple(mods))
         else:
-            self.module = FinModule(loc.ring, self._quo.module.factors)
-
-    @property
-    def trivial(self) -> bool:
-        return self.localization.trivial
-
-    @property
-    def ring(self):
-        return self.localization.ring
+            self.module = mods[0]
+            self.ring = self.module.ring
 
     def map_submodule(self, n: AnySubmodule) -> AnySubmodule:
         if self.trivial:
             raise ValueError("localization collapsed to the zero module")
-        full = self._quo.project_submodule(n)
-        if isinstance(self.source, ProductModule):
-            parts = tuple(
-                Submodule(self.module.components[pos], full.parts[i].basis)
-                for pos, i in enumerate(self._kept)
-            )
-            return ProductSubmodule(self.module, parts)
-        return Submodule(self.module, full.basis)
+        if n.module != self.source:
+            raise RingMismatchError("submodule of a different module")
+        product = isinstance(self.module, ProductModule)
+        parts = n.parts if product else (n,)
+        mods = self.module.components if product else (self.module,)
+        images = tuple(
+            _submodule(c, [tuple(row[i] for i in cols) for row in parts[t].basis])
+            for c, (t, cols) in zip(mods, self._kept)
+        )
+        return ProductSubmodule(self.module, images) if product else images[0]
 
     def map_ideal(self, i: Ideal) -> Ideal:
         if self.trivial:
             raise ValueError("localization collapsed to the zero ring")
-        return self.localization.quotient.ideal_image(i)
+        if i.ring != self.source.ring:
+            raise RingMismatchError("ideal over a different ring")
+        if isinstance(self.ring, ProductRing):
+            return ideal(self.ring, tuple(i.data[t] for t, _ in self._kept))
+        return ideal(self.ring, i.data)
 
 
 def localize_module(m: AnyModule, s: MultSet) -> LocalizedModule:

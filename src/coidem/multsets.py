@@ -7,7 +7,9 @@ may legally contain 0 (then localizing at it collapses everything, and every
 Over Z four symbolic presentations are supported (plus the saturation wrapper
 of the generated kind); inside a finite ring a set is stored in full.  The one
 decision primitive everything else reduces to is `meets_ideal`: does S meet a
-given ideal, and if so at which canonical witness.
+given ideal, and if so at which canonical witness.  The maximal multiple s*
+(`satisfies_max_multiple`) is all that localization reads of a finite S: it
+inverts exactly what S inverts (see `modules.LocalizedModule`).
 """
 
 from __future__ import annotations
@@ -15,25 +17,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import gcd
 
 from .rings import (
     Ideal,
     IntegerRing,
     ModularRing,
     ProductRing,
-    QuotientData,
     Ring,
     RingMismatchError,
     UnsupportedRingError,
     divides,
     element_of,
     factorize,
-    ideal,
     ideal_contains,
     is_prime,
-    quotient_ring,
-    units,
 )
 
 
@@ -125,30 +122,6 @@ class MultSet:
 AnyMultSet = MultSet | ZMultSet
 
 
-def _gen_products_contain(gens: tuple[int, ...], x: int) -> bool:
-    """Is x a product of generators (the empty product 1 included)?"""
-    if x == 1:
-        return True
-    if x == 0:
-        return 0 in gens
-    bound = abs(x)
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = v * g
-                if w == x:
-                    return True
-                if w == 0 or abs(w) > bound or w in seen:
-                    continue
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return False
-
-
 def _divides_some_product(gens: tuple[int, ...], x: int) -> bool:
     """Is x a divisor of some product of the generators?"""
     if x in (1, -1):
@@ -160,24 +133,6 @@ def _divides_some_product(gens: tuple[int, ...], x: int) -> bool:
     return all(
         any(g % p == 0 for g in gens) for p in factorize(abs(x))
     )
-
-
-def z_multset_contains(s: ZMultSet, x: int) -> bool:
-    if isinstance(s, ZUnits):
-        return x in (1, -1)
-    if isinstance(s, ZNonZero):
-        return x != 0
-    if isinstance(s, ZComplementOfPrimes):
-        return all(x % p != 0 for p in s.primes)
-    if isinstance(s, ZGeneratedBy):
-        return _gen_products_contain(s.gens, x)
-    return _divides_some_product(s.gens, x)
-
-
-def multset_contains(s: AnyMultSet, x) -> bool:
-    if isinstance(s, MultSet):
-        return x in s.elements
-    return z_multset_contains(s, x)
 
 
 def closure_in_ring(ring: Ring, gens) -> MultSet:
@@ -338,57 +293,6 @@ def satisfies_max_multiple(s: AnyMultSet):
             return 1
         return None
     return None
-
-
-@dataclass(frozen=True)
-class LocalizationData:
-    """Finite-ring localization realized as a quotient.
-
-    Inverting S is the same as inverting its maximal-multiple witness s*, and
-    over a finite ring the kernel of the localization map is the annihilator
-    of s* (every s in S divides s*, and the powers of s* divide s* again, so
-    the union of annihilators over S is ann(s*)).  The localized ring is then
-    the quotient by that kernel, where every image of S is a unit (asserted).
-    """
-
-    source: Ring
-    kernel: Ideal
-    quotient: QuotientData
-
-    @property
-    def trivial(self) -> bool:
-        return self.quotient.trivial
-
-    @property
-    def ring(self):
-        return self.quotient.ring
-
-
-def localize(ring: Ring, s: MultSet) -> LocalizationData:
-    if not ring.is_finite:
-        raise UnsupportedRingError("localization of Z is out of scope")
-    if s.ring != ring:
-        raise RingMismatchError("set over a different ring")
-    star = satisfies_max_multiple(s)
-
-    def _ann_of(comp: ModularRing, x: int) -> int:
-        g = gcd(x, comp.n)
-        return comp.n // g
-
-    if isinstance(ring, ProductRing):
-        kernel = ideal(
-            ring,
-            tuple(_ann_of(c, star[t]) for t, c in enumerate(ring.components)),
-        )
-    else:
-        kernel = ideal(ring, _ann_of(ring, star))
-    q = quotient_ring(ring, kernel)
-    if not q.trivial:
-        target_units = units(q.ring)
-        for t in s.elements:
-            if q.project(t) not in target_units:
-                raise AssertionError("localized image of S must consist of units")
-    return LocalizationData(ring, kernel, q)
 
 
 @cache

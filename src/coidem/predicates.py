@@ -207,24 +207,23 @@ def copure(m: AnyModule, n, s: AnyMultSet) -> Verdict:
 
 
 def _per_submodule_all(prop: str, m: AnyModule, s: AnyMultSet, uniform: bool) -> Verdict:
+    """One `meets_ideal` query on the intersection of every witness ideal.
+
+    A finite S has a maximal multiple, so S meets the intersection exactly
+    when it meets each ideal; the lattice is scanned only for the first
+    counterexample.  `uniform` decides whether the common witness is reported.
+    """
     s = resolve_multset(m, s)
     lattice = enumerate_submodules(m)
     table = _WITNESS_IDEALS[prop]
-    if uniform:
-        acc = unit_ideal(m.ring)
-        for n in lattice.all:
-            acc = ideal_intersect(acc, table(n))
-        witness = meets_ideal(s, acc)
-        if witness is None:
-            for n in lattice.all:
-                if meets_ideal(s, table(n)) is None:
-                    return Verdict(False, counterexample=n)
-            return Verdict(False)
-        return Verdict(True, witness=witness)
+    acc = unit_ideal(m.ring)
     for n in lattice.all:
-        if meets_ideal(s, table(n)) is None:
-            return Verdict(False, counterexample=n)
-    return Verdict(True)
+        acc = ideal_intersect(acc, table(n))
+    witness = meets_ideal(s, acc)
+    if witness is not None:
+        return Verdict(True, witness=witness if uniform else None)
+    misses = (n for n in lattice.all if meets_ideal(s, table(n)) is None)
+    return Verdict(False, counterexample=next(misses))
 
 
 def comultiplication(m: AnyModule, s: AnyMultSet, uniform: bool = False) -> Verdict:
@@ -301,9 +300,9 @@ def s_noetherian(m: AnyModule, s: AnyMultSet) -> Verdict:
 def fully(prop: str, m: AnyModule, s: AnyMultSet, uniform: bool = False) -> Verdict:
     """Every submodule has the property; first failure is the counterexample.
 
-    Pointwise by default (each submodule may use its own s); `uniform` asks
-    for a single s serving the whole lattice, which is equivalent whenever S
-    satisfies the maximal multiple condition (always true for finite S).
+    Each submodule may use its own s, which for a finite S (it always has a
+    maximal multiple) is the same as one s serving the whole lattice;
+    `uniform` reports that single s as the witness.
     """
     if prop not in POINTWISE_PROPERTIES:
         raise ValueError(f"'fully' applies to {POINTWISE_PROPERTIES}")

@@ -337,49 +337,3 @@ def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:
 def maximal_ideals(ring: Ring) -> tuple[Ideal, ...]:
     # Supported finite rings are artinian: primes and maximals coincide.
     return prime_ideals(ring)
-
-
-@dataclass(frozen=True)
-class QuotientData:
-    """Quotient ring R/I with projection data; `trivial` flags collapse to 0."""
-
-    source: Ring
-    by: Ideal
-    ring: Ring | None
-    trivial: bool
-    kept: tuple[int, ...] = ()  # product case: surviving component indices
-
-    def project(self, x):
-        if self.trivial:
-            raise ValueError("projection into the flagged trivial ring")
-        if isinstance(self.source, ProductRing):
-            return tuple(x[i] % self.by.data[i] for i in self.kept)
-        return x % self.by.data
-
-    def ideal_image(self, j: Ideal) -> Ideal:
-        if j.ring != self.source:
-            raise RingMismatchError("ideal over a different ring")
-        if self.trivial:
-            raise ValueError("image in the flagged trivial ring")
-        if isinstance(self.source, ProductRing):
-            return ideal(
-                self.ring, tuple(gcd(j.data[i], self.by.data[i]) for i in self.kept)
-            )
-        return ideal(self.ring, gcd(j.data, self.by.data))
-
-
-def quotient_ring(ring: Ring, i: Ideal) -> QuotientData:
-    if i.ring != ring:
-        raise RingMismatchError("ideal over a different ring")
-    if isinstance(ring, ModularRing):
-        d = i.data
-        if d == 1:
-            return QuotientData(ring, i, None, True)
-        return QuotientData(ring, i, ModularRing(d), False)
-    if isinstance(ring, ProductRing):
-        kept = tuple(t for t, d in enumerate(i.data) if d > 1)
-        if not kept:
-            return QuotientData(ring, i, None, True)
-        comps = tuple(ModularRing(i.data[t]) for t in kept)
-        return QuotientData(ring, i, ProductRing(comps), False, kept)
-    raise UnsupportedRingError("quotients are computed for finite rings only")

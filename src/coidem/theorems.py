@@ -72,6 +72,7 @@ from .rings import (
     Z,
     ModularRing,
     all_ideals,
+    divisors,
     ideal_contains,
     ideal_intersect,
     ideal_product,
@@ -196,10 +197,6 @@ def _outcome(ok: bool, applicable: bool, details: dict):
     return "pass", (not applicable), details
 
 
-def _sub_str(sub) -> str:
-    return str(sub)
-
-
 # -- the twenty checks --------------------------------------------------------
 
 
@@ -215,12 +212,12 @@ def _t01(inst: Instance):
         applicable = True
         if not with_s.holds:
             ok = False
-            details["forward_counterexample"] = _sub_str(with_s.counterexample)
+            details["forward_counterexample"] = str(with_s.counterexample)
     if set(s.elements) <= units(m.ring) and with_s.holds:
         applicable = True
         if not classical.holds:
             ok = False
-            details["converse_counterexample"] = _sub_str(classical.counterexample)
+            details["converse_counterexample"] = str(classical.counterexample)
     return _outcome(ok, applicable, details)
 
 
@@ -230,7 +227,7 @@ def _t02(inst: Instance):
     if not hyp.holds:
         return _outcome(True, False, {})
     concl = _comult(m, s)
-    det = {} if concl.holds else {"counterexample": _sub_str(concl.counterexample)}
+    det = {} if concl.holds else {"counterexample": str(concl.counterexample)}
     return _outcome(concl.holds, True, det)
 
 
@@ -272,13 +269,13 @@ def _t04(inst: Instance):
         concl = _fully("coidempotent", m, s)
         if not concl.holds:
             ok = False
-            details["part_a_counterexample"] = _sub_str(concl.counterexample)
+            details["part_a_counterexample"] = str(concl.counterexample)
     if _semisimple(m, s).holds:
         applicable = True
         concl = _fully("coidempotent", m, s)
         if not concl.holds:
             ok = False
-            details["part_b_counterexample"] = _sub_str(concl.counterexample)
+            details["part_b_counterexample"] = str(concl.counterexample)
     return _outcome(ok, applicable, details)
 
 
@@ -300,7 +297,7 @@ def _t05(inst: Instance):
         if not v.holds:
             ok = False
             details["superset"] = str(s2)
-            details["counterexample"] = _sub_str(v.counterexample)
+            details["counterexample"] = str(v.counterexample)
             break
     return _outcome(ok, True, details)
 
@@ -318,13 +315,12 @@ def _t07(inst: Instance):
     if not _fully("coidempotent", m, s).holds:
         return _outcome(True, False, {})
     for n in enumerate_submodules(m).all:
-        q = quotient_module(m, n)
-        v = _fully("coidempotent", q.module, s)
+        v = _fully("coidempotent", quotient_module(m, n), s)
         if not v.holds:
             return _outcome(
                 False,
                 True,
-                {"by": _sub_str(n), "counterexample": _sub_str(v.counterexample)},
+                {"by": str(n), "counterexample": str(v.counterexample)},
             )
     return _outcome(True, True, {})
 
@@ -374,14 +370,14 @@ def _t09(inst: Instance):
             applicable = True
             if not sub_fully:
                 ok = False
-                details["closure_counterexample"] = _sub_str(n)
+                details["closure_counterexample"] = str(n)
                 break
         transfer = meets_ideal(s, colon_ring(n, full))
         if transfer is not None and sub_fully:
             applicable = True
             if not hyp_m:
                 ok = False
-                details["transfer_counterexample"] = _sub_str(n)
+                details["transfer_counterexample"] = str(n)
                 details["transfer_witness"] = str(transfer)
                 break
     return _outcome(ok, applicable, details)
@@ -418,7 +414,7 @@ def _t11(inst: Instance):
         lhs = loc.map_ideal(_ann(n))
         rhs = annihilator(loc.map_submodule(n))
         if lhs != rhs:
-            return _outcome(False, True, {"submodule": _sub_str(n)})
+            return _outcome(False, True, {"submodule": str(n)})
     return _outcome(True, True, {})
 
 
@@ -451,7 +447,7 @@ def _t14(inst: Instance):
     if not _comult(m, s).holds:
         return _outcome(True, False, {})
     for n in enumerate_submodules(m).all:
-        q_comult = _comult(quotient_module(m, n).module, s).holds
+        q_comult = _comult(quotient_module(m, n), s).holds
         a = meets_ideal(s, _WITNESS_IDEALS["copure"](n)) is not None
         b = q_comult and meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is not None
         c = q_comult and meets_ideal(s, _copure_c_ideal(n)) is not None
@@ -460,7 +456,7 @@ def _t14(inst: Instance):
             return _outcome(
                 False,
                 True,
-                {"submodule": _sub_str(n), "a": a, "b": b, "c": c, "d": d},
+                {"submodule": str(n), "a": a, "b": b, "c": c, "d": d},
             )
     return _outcome(True, True, {})
 
@@ -476,12 +472,12 @@ def _t15(inst: Instance):
         applicable = True
         if not copure_v.holds:
             ok = False
-            details["copure_counterexample"] = _sub_str(copure_v.counterexample)
+            details["copure_counterexample"] = str(copure_v.counterexample)
     if _comult(m, s).holds and copure_v.holds:
         applicable = True
         if not coid.holds:
             ok = False
-            details["coidempotent_counterexample"] = _sub_str(coid.counterexample)
+            details["coidempotent_counterexample"] = str(coid.counterexample)
     return _outcome(ok, applicable, details)
 
 
@@ -506,7 +502,7 @@ def _t16(inst: Instance):
                 return _outcome(
                     False,
                     True,
-                    {"k": _sub_str(k), "family": [str(subs[i]) for i in fam[:4]]},
+                    {"k": str(k), "family": [str(subs[i]) for i in fam[:4]]},
                 )
     return _outcome(True, True, {"family_sizes": "1..3 plus the full lattice"})
 
@@ -521,7 +517,7 @@ def _t17(inst: Instance):
             continue
         applicable = True
         if meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is None:
-            return _outcome(False, True, {"submodule": _sub_str(n)})
+            return _outcome(False, True, {"submodule": str(n)})
     return _outcome(True, applicable, {})
 
 
@@ -545,7 +541,7 @@ def _t18(inst: Instance):
         v = _fully(concl_prop, m, s)
         if not v.holds:
             ok = False
-            details[f"part_{name}_counterexample"] = _sub_str(v.counterexample)
+            details[f"part_{name}_counterexample"] = str(v.counterexample)
     return _outcome(ok, applicable, details)
 
 
@@ -625,7 +621,7 @@ class CorpusConfig:
 
 def factor_lists(n: int, max_order: int):
     """Nondecreasing divisor tuples with product bounded by max_order."""
-    divs = [d for d in range(2, n + 1) if n % d == 0]
+    divs = divisors(n)[1:]
     out = []
 
     def rec(prefix, smallest, budget):

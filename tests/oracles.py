@@ -6,6 +6,7 @@ between the two is a real check.  None of them is used by the package.
 """
 
 import itertools
+from math import prod
 
 from coidem.intmat import hnf_square, in_rowspan
 from coidem.lattice import LatticeCapExceeded
@@ -21,7 +22,13 @@ from coidem.modules import (
     sub_sum,
     zero_submodule,
 )
-from coidem.multsets import MultSet
+from coidem.multsets import (
+    MultSet,
+    ZComplementOfPrimes,
+    ZGeneratedBy,
+    ZNonZero,
+    ZUnits,
+)
 from coidem.predicates import Verdict, resolve_multset
 from coidem.rings import (
     IntegerRing,
@@ -35,14 +42,6 @@ from coidem.rings import (
 
 
 # -- integer matrices -----------------------------------------------------------
-
-
-def mat_mul(a, b):
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(row[i] * b[i][j] for i in range(len(row))) for j in range(cols))
-        for row in a
-    )
 
 
 def det(mat) -> int:
@@ -80,6 +79,56 @@ def ideal_leq(i, j) -> bool:
     if isinstance(i.ring, IntegerRing):
         return i.data == 0 if j.data == 0 else i.data % j.data == 0
     return i.data % j.data == 0
+
+
+# -- multiplicative sets ----------------------------------------------------------
+
+
+def _gen_products_contain(gens: tuple[int, ...], x: int) -> bool:
+    """Is x a product of generators (the empty product 1 included)?"""
+    if x == 1:
+        return True
+    if x == 0:
+        return 0 in gens
+    bound = abs(x)
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = v * g
+                if w == x:
+                    return True
+                if w == 0 or abs(w) > bound or w in seen:
+                    continue
+                seen.add(w)
+                nxt.append(w)
+        frontier = nxt
+    return False
+
+
+def z_multset_contains(s, x: int) -> bool:
+    """Membership in a symbolic subset of Z, straight from its definition."""
+    if isinstance(s, ZUnits):
+        return x in (1, -1)
+    if isinstance(s, ZNonZero):
+        return x != 0
+    if isinstance(s, ZComplementOfPrimes):
+        return all(x % p != 0 for p in s.primes)
+    if isinstance(s, ZGeneratedBy):
+        return _gen_products_contain(s.gens, x)
+    # x divides a product of the gens iff it divides a power of their product
+    # with exponent at least its largest prime exponent
+    if x == 0:
+        return 0 in s.gens
+    return pow(prod(s.gens), abs(x).bit_length(), abs(x)) == 0
+
+
+def multset_contains(s, x) -> bool:
+    if isinstance(s, MultSet):
+        return x in s.elements
+    return z_multset_contains(s, x)
 
 
 # -- submodules as element sets ---------------------------------------------------

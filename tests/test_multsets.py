@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given
@@ -10,16 +12,14 @@ from coidem.multsets import (
     ZSaturatedGeneratedBy,
     ZUnits,
     closure_in_ring,
-    localize,
     meets_ideal,
-    multset_contains,
     one_multset,
     product_multset,
     reduce_presentation,
     satisfies_max_multiple,
     saturation,
-    z_multset_contains,
 )
+from coidem.modules import FinModule, localize_module
 from coidem.rings import (
     ModularRing,
     UnsupportedRingError,
@@ -29,6 +29,8 @@ from coidem.rings import (
     ideal_contains,
     product_ring,
 )
+
+from oracles import multset_contains, z_multset_contains
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -156,19 +158,25 @@ def test_finite_sets_always_have_max_multiple(s):
 
 
 def test_localize_examples():
-    loc = localize(Z12, closure_in_ring(Z12, [2]))
-    assert loc.kernel == ideal(Z12, 3)
+    # S⁻¹R as the localization of the cyclic module R: the kernel Ann(s*)
+    # maps to the zero ideal of Z/(n / gcd(n, s*))
+    loc = localize_module(FinModule(Z12, (12,)), closure_in_ring(Z12, [2]))
     assert loc.ring == ModularRing(3)
-    loc2 = localize(Z4, MultSet(Z4, frozenset({1, 3})))
-    assert loc2.kernel == ideal(Z4, 4)  # zero kernel
-    assert loc2.ring == Z4
-    loc3 = localize(ModularRing(6), closure_in_ring(ModularRing(6), [0]))
-    assert loc3.trivial
+    assert loc.map_ideal(ideal(Z12, 3)) == ideal(loc.ring, 0)
+    loc2 = localize_module(FinModule(Z4, (4,)), MultSet(Z4, frozenset({1, 3})))
+    assert loc2.ring == Z4  # zero kernel
+    assert loc2.map_ideal(ideal(Z4, 2)) == ideal(Z4, 2)
+    z6 = ModularRing(6)
+    assert localize_module(FinModule(z6, (6,)), closure_in_ring(z6, [0])).trivial
 
 
 @given(multsets())
 def test_localize_images_are_units(s):
-    localize(s.ring, s)  # the unit check is asserted inside
+    loc = localize_module(FinModule(s.ring, (s.ring.n,)), s)
+    if loc.trivial:
+        assert 0 in s.elements
+    else:
+        assert all(gcd(t, loc.ring.n) == 1 for t in s.elements)
 
 
 def test_product_multset():

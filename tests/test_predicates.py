@@ -416,14 +416,28 @@ def test_scan_oracle_agreement():
 
 
 def test_uniform_equals_pointwise_under_max_multiple():
-    # every finite S satisfies the maximal multiple condition
+    # every finite S satisfies the maximal multiple condition, so the single
+    # query on the intersected witness ideals agrees with asking per submodule
     for m in small_cases(max_order=12, moduli=(4, 6, 8)):
+        subs = enumerate_submodules(m).all
         for s in multset_pool(m.ring):
             assert satisfies_max_multiple(s) is not None
-            for prop in ("coidempotent", "idempotent", "pure", "copure"):
-                assert (
-                    fully(prop, m, s).holds == fully(prop, m, s, uniform=True).holds
-                )
+            for prop in predicates._WITNESS_IDEALS:
+                table = predicates._WITNESS_IDEALS[prop]
+                misses = [n for n in subs if meets_ideal(s, table(n)) is None]
+                if prop in ("comultiplication", "multiplication"):
+                    plain = getattr(predicates, prop)(m, s)
+                    uniform = getattr(predicates, prop)(m, s, uniform=True)
+                else:
+                    plain = fully(prop, m, s)
+                    uniform = fully(prop, m, s, uniform=True)
+                assert plain.holds == uniform.holds == (not misses)
+                if misses:
+                    assert plain.counterexample == uniform.counterexample == misses[0]
+                else:
+                    assert plain.witness is None
+                    assert uniform.witness in s.elements
+                    assert all(ideal_contains(table(n), uniform.witness) for n in subs)
 
 
 def test_comultiplication_wlog_soundness():

@@ -4,7 +4,6 @@ from hypothesis import given
 
 from coidem.rings import (
     ModularRing,
-    ProductRing,
     RingMismatchError,
     UnsupportedRingError,
     Z,
@@ -19,7 +18,6 @@ from coidem.rings import (
     maximal_ideals,
     prime_ideals,
     product_ring,
-    quotient_ring,
     unit_ideal,
     units,
 )
@@ -86,17 +84,6 @@ def test_prime_and_maximal_ideals():
         assert prime_ideals(ring) == maximal_ideals(ring)
     with pytest.raises(UnsupportedRingError):
         prime_ideals(Z)
-
-
-def test_quotient_ring_examples():
-    q = quotient_ring(Z12, ideal(Z12, 3))
-    assert q.ring == ModularRing(3) and not q.trivial
-    assert q.project(7) == 1
-    assert quotient_ring(Z4, ideal(Z4, 0)).ring == Z4
-    assert quotient_ring(Z12, unit_ideal(Z12)).trivial
-    qprod = quotient_ring(Z49, ideal(Z49, (1, 3)))
-    assert qprod.ring == ProductRing((ModularRing(3),))
-    assert qprod.project((3, 7)) == (1,)
 
 
 def test_ring_mismatch():

@@ -175,3 +175,16 @@ def test_report_hash_is_the_same_for_every_job_count():
         report = verify_all(corpus, jobs=jobs, config=TINY)
         blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
         assert hashlib.sha256(blob.encode()).hexdigest() == TINY_REPORT_SHA256, jobs
+
+
+# the same corpus with its 16 product instances, which TINY leaves out: their
+# 48 T11–T13 rows are the ones that localize over a product ring
+TINY_PRODUCTS = CorpusConfig(moduli=(2, 3, 4), max_order=8, include_products=True)
+TINY_PRODUCTS_REPORT_SHA256 = "f82f2b35e4d63bb28fefa0d3e0d4196505e450bf62037c002c377cdfd66fdf66"
+
+
+def test_report_hash_with_products():
+    corpus = generate_corpus(TINY_PRODUCTS)
+    report = verify_all(corpus, config=TINY_PRODUCTS)
+    blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(blob.encode()).hexdigest() == TINY_PRODUCTS_REPORT_SHA256
