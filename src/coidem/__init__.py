@@ -11,7 +11,6 @@ from .rings import (
     UnsupportedRingError,
     Z,
     all_ideals,
-    divides,
     ideal_from_generators,
     ideal_intersect,
     ideal_product,
@@ -25,7 +24,6 @@ from .multsets import (
     ZComplementOfPrimes,
     ZGeneratedBy,
     ZNonZero,
-    ZSaturatedGeneratedBy,
     ZUnits,
     closure_in_ring,
     meets_ideal,

@@ -167,6 +167,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.lattice_cap < 1:
+        raise SpecError(f"--lattice-cap must be at least 1, got {args.lattice_cap}")
     ring = parse_ring(args.ring)
     module = parse_module(ring, args.module)
     if isinstance(module, ZModule):

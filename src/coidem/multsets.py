@@ -4,12 +4,14 @@ A multiplicative set always contains 1 and is closed under multiplication; it
 may legally contain 0 (then localizing at it collapses everything, and every
 "exists s" predicate downstream holds with the honest witness 0).
 
-Over Z four symbolic presentations are supported (plus the saturation wrapper
-of the generated kind); inside a finite ring a set is stored in full.  The one
-decision primitive everything else reduces to is `meets_ideal`: does S meet a
-given ideal, and if so at which canonical witness.  The maximal multiple s*
-(`satisfies_max_multiple`) is all that localization reads of a finite S: it
-inverts exactly what S inverts (see `modules.LocalizedModule`).
+Over Z four symbolic presentations are supported; inside a finite ring a set
+is stored in full.  The one decision primitive everything else reduces to is
+`meets_ideal`: does S meet a given ideal, and if so at which canonical
+witness.  The maximal multiple s* of a finite S is one such query (S against
+the common multiples of its elements), and the saturation S* is read off s*:
+every element of S divides s*, so x divides some element of S iff x divides
+s*.  Localization reads nothing else of a finite S either: s* inverts exactly
+what S inverts (see `modules.localize_module`).
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ from .rings import (
     Ring,
     RingMismatchError,
     UnsupportedRingError,
-    divides,
     element_of,
     factorize,
+    ideal,
     ideal_contains,
+    ideal_intersect,
     is_prime,
+    unit_ideal,
 )
 
 
@@ -82,17 +86,7 @@ class ZGeneratedBy:
         return "gen:" + ",".join(map(str, self.gens))
 
 
-@dataclass(frozen=True)
-class ZSaturatedGeneratedBy:
-    """Saturation of ZGeneratedBy: integers dividing some product of the gens."""
-
-    gens: tuple[int, ...]
-
-    def __str__(self) -> str:
-        return "saturated-gen:" + ",".join(map(str, self.gens))
-
-
-ZMultSet = ZUnits | ZNonZero | ZComplementOfPrimes | ZGeneratedBy | ZSaturatedGeneratedBy
+ZMultSet = ZUnits | ZNonZero | ZComplementOfPrimes | ZGeneratedBy
 
 
 @dataclass(frozen=True)
@@ -120,19 +114,6 @@ class MultSet:
 
 
 AnyMultSet = MultSet | ZMultSet
-
-
-def _divides_some_product(gens: tuple[int, ...], x: int) -> bool:
-    """Is x a divisor of some product of the generators?"""
-    if x in (1, -1):
-        return True
-    if x == 0:
-        return 0 in gens
-    if 0 in gens:
-        return True  # 0 is a product, and everything divides 0
-    return all(
-        any(g % p == 0 for g in gens) for p in factorize(abs(x))
-    )
 
 
 def closure_in_ring(ring: Ring, gens) -> MultSet:
@@ -196,9 +177,6 @@ def reduce_presentation(p: ZMultSet, target: int | Ring) -> MultSet:
         return MultSet(target, elems)
     if isinstance(p, ZGeneratedBy):
         return closure_in_ring(target, [g % n for g in p.gens])
-    if isinstance(p, ZSaturatedGeneratedBy):
-        base = closure_in_ring(target, [g % n for g in p.gens])
-        return saturation(base)
     raise TypeError(f"not a symbolic multiplicative set: {p!r}")
 
 
@@ -212,18 +190,14 @@ def _meets_ideal_z(p: ZMultSet, i: Ideal):
         if c == 0 or any(c % q == 0 for q in p.primes):
             return None
         return c
-    if isinstance(p, (ZGeneratedBy, ZSaturatedGeneratedBy)):
+    if isinstance(p, ZGeneratedBy):
         gens = p.gens
-        if 0 in gens and isinstance(p, ZGeneratedBy):
+        if 0 in gens:
             return 0
-        if isinstance(p, ZSaturatedGeneratedBy) and 0 in gens:
-            return c  # the saturation is all of Z
         if c == 0:
             return None
         if c == 1:
             return 1
-        if isinstance(p, ZSaturatedGeneratedBy):
-            return c if _divides_some_product(gens, c) else None
         # pick one generator per prime of c and raise it far enough
         chosen: dict[int, int] = {}
         for q, e in factorize(c).items():
@@ -258,41 +232,39 @@ def meets_ideal(s: AnyMultSet, i: Ideal):
     return _meets_ideal_z(s, i)
 
 
-def saturation(s: AnyMultSet):
-    """S* = {x : xR meets S}; same representation kind as the input."""
-    if isinstance(s, MultSet):
-        ring = s.ring
-        sat = set()
-        for x in ring.elements():
-            if any(divides(ring, x, t) for t in s.elements):
-                sat.add(x)
-        return MultSet(ring, frozenset(sat))
-    if isinstance(s, (ZUnits, ZNonZero, ZComplementOfPrimes, ZSaturatedGeneratedBy)):
-        return s
-    return ZSaturatedGeneratedBy(s.gens)
-
-
 def satisfies_max_multiple(s: AnyMultSet):
     """A witness in S divisible by every element of S, else None.
 
-    Finite sets always have one (the product of all elements works); the least
-    witness in canonical element order is returned.
+    For a finite S this is S meeting the common multiples ⋂_{t ∈ S} tR, which
+    it always does (the product of all elements lies there); the least witness
+    in canonical element order is returned.
     """
     if isinstance(s, MultSet):
-        ring = s.ring
-        for cand in s.sorted_elements():
-            if all(divides(ring, t, cand) for t in s.elements):
-                return cand
-        raise AssertionError("finite multiplicative sets always have a witness")
+        common = unit_ideal(s.ring)
+        for t in s.elements:
+            common = ideal_intersect(common, ideal(s.ring, t))
+        star = meets_ideal(s, common)
+        if star is None:
+            raise AssertionError("finite multiplicative sets always have a witness")
+        return star
     if isinstance(s, ZUnits):
         return 1
-    if isinstance(s, (ZGeneratedBy, ZSaturatedGeneratedBy)):
+    if isinstance(s, ZGeneratedBy):
         if 0 in s.gens:
             return 0
         if all(g in (1, -1) for g in s.gens):
             return 1
         return None
     return None
+
+
+def saturation(s: MultSet) -> MultSet:
+    """S* = {x : xR meets S} = {x : s* ∈ xR} for a finite S."""
+    ring = s.ring
+    star = satisfies_max_multiple(s)
+    return MultSet(
+        ring, frozenset(x for x in ring.elements() if ideal_contains(ideal(ring, x), star))
+    )
 
 
 @cache

@@ -46,11 +46,8 @@ from .multsets import (
     AnyMultSet,
     MultSet,
     ZComplementOfPrimes,
-    ZGeneratedBy,
     ZMultSet,
     ZNonZero,
-    ZSaturatedGeneratedBy,
-    ZUnits,
     meets_ideal,
     reduce_presentation,
 )
@@ -96,14 +93,6 @@ def resolve_multset(m: AnyModule, s: AnyMultSet) -> AnyMultSet:
             raise UnsupportedRingError(f"S lives over {s.ring}, module over {m.ring}")
         return s
     return reduce_presentation(s, m.ring)
-
-
-def multset_has_zero(s: AnyMultSet) -> bool:
-    if isinstance(s, MultSet):
-        return s.ring.zero in s.elements
-    if isinstance(s, (ZGeneratedBy, ZSaturatedGeneratedBy)):
-        return 0 in s.gens
-    return False
 
 
 # -- witness ideals (cached per submodule; independent of S) -----------------
@@ -332,34 +321,28 @@ def z_coidempotent(t: int, s: ZMultSet) -> Verdict:
     return Verdict(witness is not None, witness=witness)
 
 
-def _least_prime_outside(gens) -> int:
-    supports = [abs(g) for g in gens if g not in (0, 1, -1)]
-    p = 2
-    while True:
-        from .rings import is_prime
-
-        if is_prime(p) and all(g % p for g in supports):
-            return p
-        p += 1
-
-
 def fully_coidempotent_z(s: ZMultSet) -> Verdict:
     """Z is fully S-coidempotent iff S meets tZ for every t > 0.
 
-    t = 0 and t = 1 hold automatically; the per-kind closed forms are spelled
-    out case by case, with the least failing tZ as counterexample.
+    t = 0 and t = 1 hold automatically.  With 0 ∈ S every tZ is met, and so
+    is every tZ for nonzero; otherwise the least t > 1 that S misses is the
+    counterexample.  For the complement of primes that is the least listed
+    prime, read off directly since a scan would cost O(min P) queries.  For
+    units and generated S the scan stops at the least prime that divides no
+    generator: every smaller t is a product of primes that do.
     """
     if isinstance(s, MultSet):
         raise UnsupportedRingError("the Z-module Z needs a symbolic subset of Z")
+    if meets_ideal(s, ideal(IntegerRing(), 0)) is not None:
+        return Verdict(True, witness=0)
     if isinstance(s, ZNonZero):
         return Verdict(True)
-    if isinstance(s, ZUnits):
-        return Verdict(False, counterexample=2)
     if isinstance(s, ZComplementOfPrimes):
         return Verdict(False, counterexample=min(s.primes))
-    if multset_has_zero(s):
-        return Verdict(True, witness=0)
-    return Verdict(False, counterexample=_least_prime_outside(s.gens))
+    t = 2
+    while meets_ideal(s, ideal(IntegerRing(), t)) is not None:
+        t += 1
+    return Verdict(False, counterexample=t)
 
 
 # -- element-level certificate validation ------------------------------------

@@ -81,14 +81,8 @@ class IntegerRing:
     def normalize(self, x: int) -> int:
         return int(x)
 
-    def contains(self, x) -> bool:
-        return isinstance(x, int)
-
     def mul(self, a: int, b: int) -> int:
         return a * b
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
 
 
 @dataclass(frozen=True)
@@ -117,17 +111,11 @@ class ModularRing:
     def normalize(self, x: int) -> int:
         return int(x) % self.n
 
-    def contains(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.n
-
     def elements(self):
         return range(self.n)
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.n
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
 
 
 @dataclass(frozen=True)
@@ -158,21 +146,11 @@ class ProductRing:
     def normalize(self, x):
         return tuple(c.normalize(v) for c, v in zip(self.components, x))
 
-    def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and len(x) == len(self.components)
-            and all(c.contains(v) for c, v in zip(self.components, x))
-        )
-
     def elements(self):
         return itertools.product(*(c.elements() for c in self.components))
 
     def mul(self, a, b):
         return tuple(c.mul(x, y) for c, x, y in zip(self.components, a, b))
-
-    def add(self, a, b):
-        return tuple(c.add(x, y) for c, x, y in zip(self.components, a, b))
 
 
 Ring = IntegerRing | ModularRing | ProductRing
@@ -294,18 +272,6 @@ def all_ideals(ring: Ring) -> tuple[Ideal, ...]:
         per = [divisors(c.n) for c in ring.components]
         return tuple(Ideal(ring, combo) for combo in itertools.product(*per))
     raise UnsupportedRingError("Z has infinitely many ideals")
-
-
-def divides(ring: Ring, t, s) -> bool:
-    """True iff s lies in the principal ideal tR."""
-    if isinstance(ring, ProductRing):
-        return all(
-            divides(c, a, b) for c, a, b in zip(ring.components, t, s)
-        )
-    if isinstance(ring, IntegerRing):
-        return s == 0 if t == 0 else s % t == 0
-    g = gcd(t, ring.n)
-    return s % (ring.n if g == 0 else g) == 0
 
 
 @cache

@@ -152,10 +152,6 @@ class Instance:
     label: str
     component_instances: tuple["Instance", ...] = ()
 
-    @property
-    def ring(self):
-        return self.module.ring
-
 
 @dataclass
 class CheckResult:

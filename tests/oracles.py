@@ -6,7 +6,7 @@ between the two is a real check.  None of them is used by the package.
 """
 
 import itertools
-from math import prod
+from math import gcd
 
 from coidem.intmat import hnf_square, in_rowspan
 from coidem.lattice import LatticeCapExceeded
@@ -38,6 +38,7 @@ from coidem.rings import (
     all_ideals,
     ideal_contains,
     ideal_product,
+    is_prime,
 )
 
 
@@ -118,17 +119,64 @@ def z_multset_contains(s, x: int) -> bool:
         return all(x % p != 0 for p in s.primes)
     if isinstance(s, ZGeneratedBy):
         return _gen_products_contain(s.gens, x)
-    # x divides a product of the gens iff it divides a power of their product
-    # with exponent at least its largest prime exponent
-    if x == 0:
-        return 0 in s.gens
-    return pow(prod(s.gens), abs(x).bit_length(), abs(x)) == 0
+    raise TypeError(f"not a symbolic multiplicative set: {s!r}")
 
 
 def multset_contains(s, x) -> bool:
     if isinstance(s, MultSet):
         return x in s.elements
     return z_multset_contains(s, x)
+
+
+def divides(ring, t, s) -> bool:
+    """t | s, i.e. s lies in tR, straight from the ring's modulus."""
+    if isinstance(ring, ProductRing):
+        return all(divides(c, a, b) for c, a, b in zip(ring.components, t, s))
+    if isinstance(ring, IntegerRing):
+        return s == 0 if t == 0 else s % t == 0
+    g = gcd(t, ring.n)
+    return s % (ring.n if g == 0 else g) == 0
+
+
+def max_multiple_by_scan(s: MultSet):
+    """The least s* ∈ S divisible by every element of S, by pairwise scan."""
+    for cand in s.sorted_elements():
+        if all(divides(s.ring, t, cand) for t in s.elements):
+            return cand
+    return None
+
+
+def saturation_by_scan(s: MultSet) -> frozenset:
+    """S* = {x : x divides some element of S}, by scanning R against S."""
+    return frozenset(
+        x for x in s.ring.elements() if any(divides(s.ring, x, t) for t in s.elements)
+    )
+
+
+def _least_prime_outside(gens) -> int:
+    supports = [abs(g) for g in gens if g not in (0, 1, -1)]
+    p = 2
+    while not (is_prime(p) and all(g % p for g in supports)):
+        p += 1
+    return p
+
+
+def fully_coidempotent_z_by_kind(s) -> Verdict:
+    """Z is fully S-coidempotent, read per symbolic kind.
+
+    Nonzero meets every tZ; units miss 2Z; the complement of primes misses pZ
+    for its least prime; a generated S holds when 0 is a generator and
+    otherwise misses pZ for the least prime dividing no generator.
+    """
+    if isinstance(s, ZNonZero):
+        return Verdict(True)
+    if isinstance(s, ZUnits):
+        return Verdict(False, counterexample=2)
+    if isinstance(s, ZComplementOfPrimes):
+        return Verdict(False, counterexample=min(s.primes))
+    if 0 in s.gens:
+        return Verdict(True, witness=0)
+    return Verdict(False, counterexample=_least_prime_outside(s.gens))
 
 
 # -- submodules as element sets ---------------------------------------------------

@@ -6,6 +6,7 @@ processes (fresh caches), which is what the byte-identity requirement is
 about.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -197,17 +198,24 @@ def test_criterion_4_operator_algebra_laws():
     )
 
 
+# sha256 of the default `coidem verify --out` report (the behaviour contract)
+DEFAULT_REPORT_SHA256 = "5ceb89faadcc5dcdca7b4f58a1864a4e45035499fad71a4839909543ede8d9e4"
+
+
 def test_criterion_5_witness_soundness_and_determinism(harness_runs):
     paths, _ = harness_runs
     blob = json.loads(paths[0].read_text())
     wc = blob["witness_checks"]
     byte_identical = paths[0].read_bytes() == paths[1].read_bytes()
-    ok = wc["failed"] == 0 and wc["checked"] > 0 and byte_identical
+    digest = hashlib.sha256(paths[0].read_bytes()).hexdigest()
+    anchored = digest == DEFAULT_REPORT_SHA256
+    ok = wc["failed"] == 0 and wc["checked"] > 0 and byte_identical and anchored
     _report(
         "5 (witness soundness + determinism)",
         ok,
         f"{wc['checked']} witnesses re-validated, {wc['failed']} failed; "
-        f"byte-identical reports: {byte_identical}",
+        f"byte-identical reports: {byte_identical}; sha256 {digest[:8]}... "
+        f"matches the anchor: {anchored}",
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +105,33 @@ def test_enumerate_zero_module(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+def test_enumerate_lattice_cap_below_one_exits_2(capsys):
+    for module in ("Z/1", "Z/2"):
+        for cap in ("0", "-5"):
+            code, out, err = run_cli(
+                capsys, "enumerate", "--ring", "Z/2", "--module", module, "--lattice-cap", cap
+            )
+            assert code == 2 and not out and "--lattice-cap must be at least 1" in err
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--ring", "Z/2", "--module", "Z/1", "--lattice-cap", "1"
+    )
+    assert code == 0 and "1 submodules" in out
+
+
+def test_fully_coidempotent_z_comp_primes_answers_fast(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys,
+        "check", "--ring", "Z", "--module", "Z", "--s", "comp-primes:1000003",
+        "--property", "fully-coidempotent", "--json",
+    )
+    elapsed = time.monotonic() - start
+    payload = json.loads(out)
+    assert code == 1 and payload["holds"] is False
+    assert payload["counterexample"] == "1000003"
+    assert elapsed < 1.0, elapsed
 
 
 def test_verify_small_and_exit_code(tmp_path, capsys):

@@ -9,7 +9,6 @@ from coidem.multsets import (
     ZComplementOfPrimes,
     ZGeneratedBy,
     ZNonZero,
-    ZSaturatedGeneratedBy,
     ZUnits,
     closure_in_ring,
     meets_ideal,
@@ -20,17 +19,23 @@ from coidem.multsets import (
     saturation,
 )
 from coidem.modules import FinModule, localize_module
+from coidem.theorems import CorpusConfig, generate_corpus, s_choices
 from coidem.rings import (
     ModularRing,
     UnsupportedRingError,
     Z,
-    divides,
     ideal,
     ideal_contains,
     product_ring,
 )
 
-from oracles import multset_contains, z_multset_contains
+from oracles import (
+    divides,
+    max_multiple_by_scan,
+    multset_contains,
+    saturation_by_scan,
+    z_multset_contains,
+)
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -119,13 +124,10 @@ def test_meets_ideal_finite_soundness_and_minimality(s, d):
 def test_saturation_examples():
     s13 = MultSet(Z4, frozenset({1, 3}))
     assert saturation(s13).elements == frozenset({1, 3})
-    sat = saturation(ZGeneratedBy((4,)))
-    assert isinstance(sat, ZSaturatedGeneratedBy)
-    for x in (1, -1, 2, -2, 8, 16):
-        assert z_multset_contains(sat, x)
-    assert not z_multset_contains(sat, 3)
-    assert saturation(ZComplementOfPrimes((2,))) == ZComplementOfPrimes((2,))
-    assert saturation(ZNonZero()) == ZNonZero()
+    # s* = 4 in {1, 2, 4, 8} ⊂ Z/12: the saturation is the divisors of 4
+    assert saturation(closure_in_ring(Z12, [2])).elements == frozenset(
+        {1, 2, 4, 5, 7, 8, 10, 11}
+    )
 
 
 @given(multsets())
@@ -155,6 +157,24 @@ def test_finite_sets_always_have_max_multiple(s):
     w = satisfies_max_multiple(s)
     assert w in s.elements
     assert all(divides(s.ring, t, w) for t in s.elements)
+
+
+def _corpus_sets():
+    for n in range(2, 33):
+        yield from s_choices(ModularRing(n))
+    for inst in generate_corpus(CorpusConfig(moduli=(), include_products=True)):
+        yield inst.multset
+
+
+def test_max_multiple_and_saturation_match_pairwise_scans():
+    # s* through one meets_ideal query and S* read off s*, against the
+    # pairwise divisibility scans over S they replaced
+    checked = 0
+    for s in _corpus_sets():
+        assert satisfies_max_multiple(s) == max_multiple_by_scan(s), s
+        assert saturation(s).elements == saturation_by_scan(s), s
+        checked += 1
+    assert checked > 300
 
 
 def test_localize_examples():

@@ -16,6 +16,7 @@ from coidem.modules import (
 )
 from coidem.multsets import (
     MultSet,
+    ZComplementOfPrimes,
     ZGeneratedBy,
     ZNonZero,
     ZUnits,
@@ -34,7 +35,6 @@ from coidem.predicates import (
     fully_coidempotent_z,
     idempotent,
     multiplication,
-    multset_has_zero,
     pure,
     s_finite,
     s_noetherian,
@@ -45,7 +45,7 @@ from coidem.rings import ModularRing, UnsupportedRingError, Z, all_ideals, ideal
 from coidem.specs import parse_module, parse_ring
 from coidem.theorems import factor_lists
 
-from oracles import pointwise_by_scan, witness_is_sound_by_scan
+from oracles import fully_coidempotent_z_by_kind, pointwise_by_scan, witness_is_sound_by_scan
 
 Z2, Z4, Z6, Z12 = ModularRing(2), ModularRing(4), ModularRing(6), ModularRing(12)
 M4 = module_from_factors(Z4, [4])
@@ -141,6 +141,28 @@ def test_fully_coidempotent_z_examples():
     assert fully("coidempotent", ZModule(), ZNonZero()).holds
     with pytest.raises(UnsupportedRingError):
         fully("pure", ZModule(), ZNonZero())
+
+
+def _z_sets():
+    yield ZUnits()
+    yield ZNonZero()
+    for primes in ((2,), (3,), (5, 2), (3, 7), (2, 3, 5), (1000003,)):
+        yield ZComplementOfPrimes(primes)
+    gens = range(-30, 31)
+    for g in gens:
+        yield ZGeneratedBy((g,))
+    for pair in itertools.combinations(gens, 2):
+        yield ZGeneratedBy(pair)
+    for triple in ((2, 3, 5), (-6, 10, 15), (0, 7, 11), (1, -1, 4), (6, 10, 21)):
+        yield ZGeneratedBy(triple)
+    yield ZGeneratedBy(())
+
+
+def test_fully_coidempotent_z_matches_per_kind_closed_forms():
+    # "0 in S" and the least missed tZ through meets_ideal, against the
+    # per-kind closed forms they replaced
+    for s in _z_sets():
+        assert fully_coidempotent_z(s) == fully_coidempotent_z_by_kind(s), s
 
 
 # -- invariants ---------------------------------------------------------------
@@ -280,7 +302,7 @@ def test_monotonicity_in_s():
 def test_zero_in_s_triviality():
     for m in (M4, M6, M22):
         s0 = closure_in_ring(m.ring, [0])
-        assert multset_has_zero(s0)
+        assert 0 in s0.elements
         for prop in ("coidempotent", "idempotent", "pure", "copure"):
             v = fully(prop, m, s0, uniform=True)
             assert v.holds and v.witness == m.ring.zero

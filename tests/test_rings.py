@@ -8,7 +8,6 @@ from coidem.rings import (
     UnsupportedRingError,
     Z,
     all_ideals,
-    divides,
     divisors,
     ideal,
     ideal_contains,
@@ -22,7 +21,7 @@ from coidem.rings import (
     units,
 )
 
-from oracles import ideal_leq
+from oracles import divides, ideal_leq
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -59,10 +58,13 @@ def test_ideal_intersect_examples():
 
 
 def test_divides_examples():
-    assert divides(Z12, 8, 4)
-    assert not divides(Z, 2, 5)
-    assert divides(Z12, 1, 7)
-    assert divides(Z, 0, 0) and not divides(Z, 0, 3)
+    # the oracle and the engine's route, s ∈ tR, on the same cases
+    cases = (
+        (Z12, 8, 4, True), (Z, 2, 5, False), (Z12, 1, 7, True), (Z, 0, 0, True), (Z, 0, 3, False)
+    )
+    for ring, t, s, expected in cases:
+        assert divides(ring, t, s) == expected
+        assert ideal_contains(ideal(ring, t), s) == expected
 
 
 def test_units_examples():
