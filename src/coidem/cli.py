@@ -19,6 +19,7 @@ import sys
 
 from .lattice import LatticeCapExceeded, enumerate_submodules
 from .modules import ZModule
+from .multsets import MultSetTooLarge
 from .predicates import (
     Verdict,
     coidempotent,
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, LatticeCapExceeded) as exc:
+    except (SpecError, LatticeCapExceeded, MultSetTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,13 +5,20 @@ may legally contain 0 (then localizing at it collapses everything, and every
 "exists s" predicate downstream holds with the honest witness 0).
 
 Over Z four symbolic presentations are supported; inside a finite ring a set
-is stored in full.  The one decision primitive everything else reduces to is
-`meets_ideal`: does S meet a given ideal, and if so at which canonical
-witness.  The maximal multiple s* of a finite S is one such query (S against
-the common multiples of its elements), and the saturation S* is read off s*:
-every element of S divides s*, so x divides some element of S iff x divides
-s*.  Localization reads nothing else of a finite S either: s* inverts exactly
-what S inverts (see `modules.localize_module`).
+is stored in full as canonical elements, at most MAX_FINITE_S of them (larger
+`nonzero`/`comp-primes` images are refused before they are built, closures
+as they pass the bound).  Closing and checking go by generators, not pairs
+(Froidure-Pin): `_adjoin` grows <G> to <G, x> by multiplying each new element
+by each generator once.  The check adjoins the elements of S in order and
+fails at the first product outside S, else S = <G>: exact, in |S|·|G| steps.
+
+The one decision primitive everything else reduces to is `meets_ideal`: does
+S meet a given ideal, and if so at which canonical witness.  The maximal
+multiple s* of a finite S is one such query (S against the common multiples
+of its elements), and the saturation S* is read off s*: every element of S
+divides s*, so x divides some element of S iff x divides s*.  Localization
+reads nothing else of a finite S either: s* inverts exactly what S inverts
+(see `modules.localize_module`).
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from math import prod
 
 from .rings import (
     Ideal,
@@ -36,6 +44,10 @@ from .rings import (
     is_prime,
     unit_ideal,
 )
+
+# the most elements a finite S may have: a stored S of 10^6 residues takes
+# about 4 s and 230 MB to build and check
+MAX_FINITE_S = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,14 @@ class MultSet:
     def __post_init__(self):
         if not self.ring.is_finite:
             raise UnsupportedRingError("explicit multiplicative sets need a finite ring")
+        if any(element_of(self.ring, x) != x for x in self.elements):
+            raise ValueError("elements must be given in canonical form")
         if self.ring.one not in self.elements:
             raise ValueError("a multiplicative set must contain 1")
-        for a in self.elements:
-            for b in self.elements:
-                if self.ring.mul(a, b) not in self.elements:
-                    raise ValueError("set is not closed under multiplication")
+        closed, gens = {self.ring.one}, []
+        for x in sorted(self.elements):
+            if x not in closed:  # saves a call per element already reached
+                _adjoin(self.ring, closed, gens, x, self.elements)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in sorted(self.elements)) + "}"
@@ -116,23 +130,46 @@ class MultSet:
 AnyMultSet = MultSet | ZMultSet
 
 
+class MultSetTooLarge(RuntimeError):
+    pass
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_FINITE_S:
+        raise MultSetTooLarge(f"a finite S may have at most {MAX_FINITE_S:,} elements")
+
+
+def _adjoin(ring: Ring, closed: set, gens: list, x, inside) -> None:
+    """Grow closed = <gens> in place to <gens, x>, appending x to gens if new.
+
+    Each new element, x first, is multiplied by each generator once; a walk
+    x·g1···gm that enters <gens> stays there (R is commutative), so none is
+    missed.  Products outside `inside` raise; inside None caps the size.
+    """
+    if x in closed:
+        return
+    gens.append(x)
+    queue = [x]
+    while queue:
+        y = queue.pop()
+        if y in closed:
+            continue
+        if inside is None:
+            _check_size(len(closed) + 1)
+        elif y not in inside:
+            raise ValueError("set is not closed under multiplication")
+        closed.add(y)
+        queue.extend([ring.mul(y, g) for g in gens])
+
+
 def closure_in_ring(ring: Ring, gens) -> MultSet:
     """Least multiplicatively closed subset containing gens and 1."""
     if not ring.is_finite:
         raise UnsupportedRingError("closure needs a finite ring")
-    current = {ring.one}
-    frontier = [element_of(ring, g) for g in gens]
-    current.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(current):
-                c = ring.mul(a, b)
-                if c not in current:
-                    current.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return MultSet(ring, frozenset(current))
+    closed, done = {ring.one}, []
+    for g in gens:
+        _adjoin(ring, closed, done, element_of(ring, g), None)
+    return MultSet(ring, frozenset(closed))
 
 
 def product_multset(*sets: MultSet) -> MultSet:
@@ -168,9 +205,11 @@ def reduce_presentation(p: ZMultSet, target: int | Ring) -> MultSet:
     if isinstance(p, ZUnits):
         return MultSet(target, frozenset({1 % n, (n - 1) % n}))
     if isinstance(p, ZNonZero):
+        _check_size(n)
         return MultSet(target, frozenset(range(n)))
     if isinstance(p, ZComplementOfPrimes):
         relevant = [q for q in p.primes if n % q == 0]
+        _check_size(n // prod(relevant) * prod(q - 1 for q in relevant))
         elems = frozenset(
             x for x in range(n) if all(x % q != 0 for q in relevant)
         )

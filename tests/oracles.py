@@ -36,6 +36,7 @@ from coidem.rings import (
     RingMismatchError,
     UnsupportedRingError,
     all_ideals,
+    element_of,
     ideal_contains,
     ideal_product,
     is_prime,
@@ -136,6 +137,33 @@ def divides(ring, t, s) -> bool:
         return s == 0 if t == 0 else s % t == 0
     g = gcd(t, ring.n)
     return s % (ring.n if g == 0 else g) == 0
+
+
+def closed_by_pairs(ring, elements) -> bool:
+    """Closure under multiplication by testing every pair of elements."""
+    for a in elements:
+        for b in elements:
+            if ring.mul(a, b) not in elements:
+                return False
+    return True
+
+
+def closure_by_frontier(ring, gens) -> frozenset:
+    """Least closed set containing gens and 1: each new element times every
+    element found so far, frontier by frontier."""
+    current = {ring.one}
+    frontier = [element_of(ring, g) for g in gens]
+    current.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(current):
+                c = ring.mul(a, b)
+                if c not in current:
+                    current.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(current)
 
 
 def max_multiple_by_scan(s: MultSet):

@@ -5,6 +5,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
+from coidem import cli, predicates
 from coidem.cli import VALID_PROPERTIES, main
 
 
@@ -132,6 +133,54 @@ def test_fully_coidempotent_z_comp_primes_answers_fast(capsys):
     assert code == 1 and payload["holds"] is False
     assert payload["counterexample"] == "1000003"
     assert elapsed < 1.0, elapsed
+
+
+def test_finite_s_over_the_bound_exits_2(capsys, memory_cap):
+    # refused from n (or the lcm span) and n·∏(1 - 1/q) before any element
+    # is stored; never run with the bound lifted, these sets are 10^9 large
+    cases = (
+        ("Z/1000000007", "Z/1000000007", "nonzero", "gens:2"),
+        ("Z/1000 x Z/1009", "Z/1000 x Z/1009", "nonzero", "gens:(1;1)"),
+        ("Z/1000000007", "Z/1000000007", "comp-primes:2,1000000007", "gens:2"),
+    )
+    for ring, module, s, sub in cases:
+        code, out, err = run_cli(
+            capsys, "check", "--ring", ring, "--module", module, "--s", s,
+            "--property", "coidempotent", "--sub", sub,
+        )
+        assert (code, out) == (2, ""), (ring, s)
+        assert "a finite S may have at most 1,000,000 elements" in err
+
+
+def test_closure_over_the_bound_exits_2(capsys, monkeypatch):
+    # fgen:3 closes to the 1,012 units of Z/1013, over a bound lowered to 600
+    monkeypatch.setattr("coidem.multsets.MAX_FINITE_S", 600)
+    code, _, err = run_cli(
+        capsys, "check", "--ring", "Z/1013", "--module", "Z/1013", "--s", "fgen:3",
+        "--property", "coidempotent", "--sub", "gens:1",
+    )
+    assert code == 2 and "at most 600 elements" in err
+
+
+def test_check_reaches_every_layer_the_check_benchmark_traces(capsys, bench_tracing):
+    """A few `check` calls reach each function the benchmark's `check`
+    workload must trace, so dropping one from the check path fails here."""
+    for f in predicates._WITNESS_IDEALS.values():
+        f.cache_clear()  # a cached witness ideal would skip all_ideals
+    tracer = bench_tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [
+            cli.main(["check", "--ring", "Z/12", "--module", "Z/12", "--s", s,
+                      "--property", prop, "--sub", "gens:2"])
+            for s, prop in (("gen:2", "coidempotent"), ("fgen:5", "pure"))
+        ]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 1], capsys.readouterr()
+    summary = tracer.summary()
+    missed = [n for n in bench_tracing.EXERCISED["check"] if not summary.get(n, {}).get("calls")]
+    assert not missed
 
 
 def test_verify_small_and_exit_code(tmp_path, capsys):

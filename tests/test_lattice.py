@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 from math import lcm
-from pathlib import Path
 
 import pytest
 from sympy import divisor_count
@@ -227,18 +225,12 @@ def test_product_lattice():
     assert {frozenset(s.elements()) for s in lat.all} == set(oracle)
 
 
-def _bench_tracing():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_enumerate_reaches_every_layer_the_lattice_benchmark_traces(monkeypatch, capsys):
+def test_enumerate_reaches_every_layer_the_lattice_benchmark_traces(
+    monkeypatch, capsys, bench_tracing
+):
     """`enumerate --hasse` calls each function the benchmark's `lattice`
     workload must trace, so dropping one from the lattice path fails here."""
-    tracing = _bench_tracing()
+    tracing = bench_tracing
     monkeypatch.setattr(lattice, "_memory_cache", {})
     tracer = tracing.Tracer()
     tracer.install()

@@ -1,3 +1,4 @@
+import itertools
 from math import gcd
 
 import pytest
@@ -5,7 +6,9 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from coidem.multsets import (
+    MAX_FINITE_S,
     MultSet,
+    MultSetTooLarge,
     ZComplementOfPrimes,
     ZGeneratedBy,
     ZNonZero,
@@ -22,6 +25,7 @@ from coidem.modules import FinModule, localize_module
 from coidem.theorems import CorpusConfig, generate_corpus, s_choices
 from coidem.rings import (
     ModularRing,
+    RingMismatchError,
     UnsupportedRingError,
     Z,
     ideal,
@@ -30,6 +34,8 @@ from coidem.rings import (
 )
 
 from oracles import (
+    closed_by_pairs,
+    closure_by_frontier,
     divides,
     max_multiple_by_scan,
     multset_contains,
@@ -69,6 +75,145 @@ def test_closure_is_closed_and_contains_generators(s):
         for b in s.elements:
             assert ring.mul(a, b) in s.elements
     assert ring.one in s.elements
+
+
+def _accepts(ring, elements) -> bool:
+    try:
+        MultSet(ring, frozenset(elements))
+    except ValueError as exc:
+        assert "closed" in str(exc) or "contain 1" in str(exc), exc
+        return False
+    return True
+
+
+def test_closure_check_matches_pairs_on_every_subset():
+    # the check by generators against the pairwise one, on all 8,188 subsets
+    # of Z/n for 2 <= n <= 12
+    checked = 0
+    for n in range(2, 13):
+        ring = ModularRing(n)
+        for mask in range(1 << n):
+            elements = frozenset(x for x in range(n) if mask >> x & 1)
+            expected = 1 in elements and closed_by_pairs(ring, elements)
+            assert _accepts(ring, elements) == expected, (n, sorted(elements))
+            checked += 1
+    assert checked == 8188
+
+
+def test_closure_check_matches_pairs_one_element_off_a_closure():
+    # every closure of at most two generators, with one element added or
+    # (other than 1) removed: the sets that are nearly closed
+    rings = (
+        ModularRing(16),
+        ModularRing(36),
+        product_ring(ModularRing(2), ModularRing(4)),
+        product_ring(ModularRing(3), ModularRing(4)),
+    )
+    checked = accepted = 0
+    for ring in rings:
+        elems = list(ring.elements())
+        closures = {closure_by_frontier(ring, g) for g in itertools.combinations(elems, 2)}
+        for c in closures:
+            for y in elems:
+                if y == ring.one:
+                    continue
+                near = c - {y} if y in c else c | {y}
+                closed = closed_by_pairs(ring, near)
+                assert _accepts(ring, near) == closed, (ring, y)
+                checked += 1
+                accepted += closed
+    assert (checked, accepted) == (12550, 2315)
+
+
+@given(
+    st.sampled_from([ModularRing(12), ModularRing(36), ModularRing(64), ModularRing(97)])
+    | st.sampled_from([(2, 4), (3, 4), (4, 6)]).map(
+        lambda ns: product_ring(*(ModularRing(n) for n in ns))
+    ),
+    st.lists(st.integers(-200, 200), max_size=4),
+)
+def test_closure_matches_frontier_closure(ring, raw):
+    if isinstance(ring, ModularRing):
+        gens = raw
+    else:
+        gens = [(a, a // 7) for a in raw]
+    assert closure_in_ring(ring, gens).elements == closure_by_frontier(ring, gens)
+
+
+def _count_mul(monkeypatch) -> list:
+    calls = [0]
+    mul = ModularRing.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(ModularRing, "mul", counted)
+    return calls
+
+
+def test_closure_and_check_make_few_products(monkeypatch):
+    # at most |S|·|G| products per pass, not |S|^2 (6,250,000 and 3,087,349
+    # pairwise): Z/2500 is adjoined from G = {0, 2, 3, 5, 11}, and the closure
+    # of 2 in Z/2503 (1,251 elements) takes one pass to build, one to check
+    calls = _count_mul(monkeypatch)
+    MultSet(ModularRing(2500), frozenset(range(2500)))
+    assert calls[0] <= 2500 * 5
+    calls[0] = 0
+    assert len(closure_in_ring(ModularRing(2503), [2]).elements) == 1251
+    assert calls[0] <= 2 * 1251
+
+
+def test_non_canonical_elements_are_rejected():
+    with pytest.raises(ValueError, match="canonical"):
+        MultSet(Z4, frozenset({1, 5}))
+    with pytest.raises(ValueError, match="canonical"):
+        MultSet(Z4, frozenset({1, -3}))
+    with pytest.raises(RingMismatchError):
+        MultSet(product_ring(ModularRing(2), ModularRing(3)), frozenset({(1, 1), (1, 1, 1)}))
+
+
+def test_finite_s_bound_is_checked_before_building(memory_cap):
+    # n and n·∏(1 - 1/q) against the bound, before any element is stored
+    big = 1_000_000_007
+    assert MAX_FINITE_S == 1_000_000
+    for p in (ZNonZero(), ZComplementOfPrimes((2, big))):
+        with pytest.raises(MultSetTooLarge, match="1,000,000"):
+            reduce_presentation(p, big)
+    span = product_ring(ModularRing(1000), ModularRing(1009))  # lcm 1,009,000
+    with pytest.raises(MultSetTooLarge):
+        reduce_presentation(ZNonZero(), span)
+
+
+def test_finite_s_bound_is_exact(monkeypatch):
+    # the sizes are counted exactly: with a bound of 8, sets of 8 are built
+    # and sets of 9 are refused
+    monkeypatch.setattr("coidem.multsets.MAX_FINITE_S", 8)
+    fits = [
+        (ZNonZero(), 8),
+        (ZComplementOfPrimes((2,)), 16),
+        (ZComplementOfPrimes((2, 3, 5)), 30),
+        (ZNonZero(), product_ring(ModularRing(2), ModularRing(8))),
+    ]
+    for p, target in fits:
+        assert len(reduce_presentation(p, target).elements) == 8
+    over = [
+        (ZNonZero(), 9),
+        (ZComplementOfPrimes((2,)), 18),
+        (ZComplementOfPrimes((7,)), 9),
+        (ZNonZero(), product_ring(ModularRing(3), ModularRing(4))),
+    ]
+    for p, target in over:
+        with pytest.raises(MultSetTooLarge, match="at most 8 elements"):
+            reduce_presentation(p, target)
+
+
+def test_closure_stops_at_the_bound(monkeypatch):
+    # 3 generates the 1,012 units of Z/1013 and 9 the 506 squares
+    monkeypatch.setattr("coidem.multsets.MAX_FINITE_S", 600)
+    assert len(closure_in_ring(ModularRing(1013), [9]).elements) == 506
+    with pytest.raises(MultSetTooLarge, match="at most 600 elements"):
+        closure_in_ring(ModularRing(1013), [3])
 
 
 def test_reduce_presentation_examples():
