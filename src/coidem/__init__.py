@@ -15,7 +15,6 @@ from .rings import (
     ideal_intersect,
     ideal_product,
     maximal_ideals,
-    prime_ideals,
     product_ring,
     units,
 )
@@ -59,8 +58,6 @@ from .modules import (
 from .lattice import (
     LatticeCapExceeded,
     SubmoduleLattice,
-    ci_decomposition,
-    completely_irreducibles,
     enumerate_submodules,
 )
 from .predicates import (

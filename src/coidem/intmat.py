@@ -1,4 +1,5 @@
-"""Exact integer-matrix utilities: Hermite/Smith normal forms, lattice arithmetic.
+"""Exact integer-matrix utilities: Hermite normal forms, lattice arithmetic, and
+Smith normal forms computed by alternating Hermite forms.
 
 Matrices are tuples of tuples of Python ints (rows are vectors), so everything
 is exact at arbitrary precision.  Ranks here are tiny (a module rarely has more
@@ -16,7 +17,7 @@ All arithmetic is on Python ints; no rational numbers are used.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -34,10 +35,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def identity(k: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
 def diagonal(values) -> Matrix:
@@ -158,55 +155,22 @@ def smith_normal_form(mat: Matrix) -> Matrix:
     S is diagonal with nonnegative entries and s_i | s_{i+1}; its nonzero
     diagonal lists the invariant factors of Z^k / rowspan(mat).  Neither
     transform is recorded.
+
+    Hermite forms of the matrix and of its transpose alternate until the
+    result is diagonal (R. Kannan, A. Bachem, SIAM J. Comput. 8, 1979).  From
+    the second round on the matrix is square of full rank, so a Hermite form
+    keeps the pivot row's other entries in [0, pivot).  The leading pivot is
+    a positive gcd of its row (or column) and never grows; once it divides its
+    row and column, both clear and stay clear, and the trailing block follows.
     """
     m = len(mat)
     k = len(mat[0]) if m else 0
-    s = [list(r) for r in mat]
-    t = 0
-    while True:
-        pos = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, k):
-                a = abs(s[i][j])
-                if a and (best is None or a < best):
-                    best, pos = a, (i, j)
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            s[t], s[i0] = s[i0], s[t]
-        if j0 != t:
-            for row in s:
-                row[t], row[j0] = row[j0], row[t]
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t]:
-                q = s[i][t] // s[t][t]
-                s[i] = [a - q * b for a, b in zip(s[i], s[t])]
-                if s[i][t]:
-                    dirty = True
-        for j in range(t + 1, k):
-            if s[t][j]:
-                q = s[t][j] // s[t][t]
-                for row in s:
-                    row[j] -= q * row[t]
-                if s[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        p = s[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            if any(s[i][j] % p for j in range(t + 1, k)):
-                offender = i
-                break
-        if offender is not None:
-            s[t] = [a + b for a, b in zip(s[t], s[offender])]
-            continue
-        if p < 0:
-            s[t] = [-a for a in s[t]]
-        t += 1
-        if t >= min(m, k):
-            break
-    return tuple(tuple(r) for r in s)
+    h = hnf(mat, k)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = hnf(zip(*h), len(h))
+    d = [row[i] for i, row in enumerate(h)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    d += [0] * m
+    return tuple(tuple(d[i] if i == j else 0 for j in range(k)) for i in range(m))

@@ -1,5 +1,4 @@
-"""Full submodule-lattice enumeration, completely irreducible detection and
-irredundant intersection decompositions.
+"""Full submodule-lattice enumeration and completely irreducible detection.
 
 A submodule of ⊕ Z/f_i is a lattice L with diag(f)·Z^k ⊆ L ⊆ Z^k, stored as
 its square row-Hermite basis H.  Each p-primary component's bases are built
@@ -206,43 +205,3 @@ def enumerate_submodules(m: AnyModule, cap: int = DEFAULT_CAP) -> SubmoduleLatti
         lattice = SubmoduleLattice(m, [Submodule(m, b) for b in bases])
     _memory_cache[m] = lattice
     return lattice
-
-
-def completely_irreducibles(m: AnyModule, cap: int = DEFAULT_CAP):
-    return enumerate_submodules(m, cap=cap).completely_irreducibles()
-
-
-def ci_decomposition(n: AnySubmodule, cap: int = DEFAULT_CAP):
-    """An irredundant family of completely irreducibles intersecting to N.
-
-    The full module gets the empty family (empty intersection convention).
-    Deterministic: candidates are scanned in lattice order and dropped
-    greedily while the remaining intersection still equals N.
-    """
-    from .modules import full_submodule, sub_intersect
-
-    m = n.module
-    lattice = enumerate_submodules(m, cap=cap)
-    if n == full_submodule(m):
-        return ()
-    candidates = [
-        ci for ci in lattice.completely_irreducibles() if sub_leq(n, ci)
-    ]
-
-    def intersect_all(subs):
-        acc = full_submodule(m)
-        for s in subs:
-            acc = sub_intersect(acc, s)
-        return acc
-
-    if intersect_all(candidates) != n:
-        raise AssertionError("completely irreducibles above N must meet in N")
-    chosen = list(candidates)
-    i = 0
-    while i < len(chosen):
-        trial = chosen[:i] + chosen[i + 1 :]
-        if intersect_all(trial) == n:
-            chosen = trial
-        else:
-            i += 1
-    return tuple(chosen)

@@ -198,13 +198,8 @@ class ProductSubmodule:
 AnySubmodule = Submodule | ProductSubmodule
 
 
-def _relation_rows(m: FinModule):
-    k = m.rank
-    return [tuple(m.factors[i] if j == i else 0 for j in range(k)) for i in range(k)]
-
-
 def _submodule(m: FinModule, rows) -> Submodule:
-    basis = intmat.hnf_square(list(rows) + _relation_rows(m), m.rank)
+    basis = intmat.hnf_square([*rows, *intmat.diagonal(m.factors)], m.rank)
     return Submodule(m, basis)
 
 
@@ -234,7 +229,7 @@ def zero_submodule(m: AnyModule) -> AnySubmodule:
 def full_submodule(m: AnyModule) -> AnySubmodule:
     if isinstance(m, ProductModule):
         return ProductSubmodule(m, tuple(full_submodule(c) for c in m.components))
-    return _submodule(m, intmat.identity(m.rank))
+    return _submodule(m, intmat.diagonal([1] * m.rank))
 
 
 def _require_same_parent(n: AnySubmodule, k: AnySubmodule):
@@ -356,7 +351,7 @@ def submodule_as_module(n: Submodule) -> FinModule:
     of C express the relation rows D in the H_N basis.
     """
     m = n.module
-    c_rows = [intmat.rowspan_coords(n.basis, rel) for rel in _relation_rows(m)]
+    c_rows = [intmat.rowspan_coords(n.basis, rel) for rel in intmat.diagonal(m.factors)]
     return FinModule(m.ring, _invariant_factors(c_rows))
 
 

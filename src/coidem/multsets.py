@@ -271,30 +271,20 @@ def meets_ideal(s: AnyMultSet, i: Ideal):
     return _meets_ideal_z(s, i)
 
 
-def satisfies_max_multiple(s: AnyMultSet):
-    """A witness in S divisible by every element of S, else None.
+def satisfies_max_multiple(s: MultSet):
+    """The maximal multiple s* of a finite S: a witness divisible by all of S.
 
-    For a finite S this is S meeting the common multiples ⋂_{t ∈ S} tR, which
-    it always does (the product of all elements lies there); the least witness
-    in canonical element order is returned.
+    S always meets the common multiples ⋂_{t ∈ S} tR (the product of all
+    elements lies there); the least witness in canonical element order is
+    returned.
     """
-    if isinstance(s, MultSet):
-        common = unit_ideal(s.ring)
-        for t in s.elements:
-            common = ideal_intersect(common, ideal(s.ring, t))
-        star = meets_ideal(s, common)
-        if star is None:
-            raise AssertionError("finite multiplicative sets always have a witness")
-        return star
-    if isinstance(s, ZUnits):
-        return 1
-    if isinstance(s, ZGeneratedBy):
-        if 0 in s.gens:
-            return 0
-        if all(g in (1, -1) for g in s.gens):
-            return 1
-        return None
-    return None
+    common = unit_ideal(s.ring)
+    for t in s.elements:
+        common = ideal_intersect(common, ideal(s.ring, t))
+    star = meets_ideal(s, common)
+    if star is None:
+        raise AssertionError("finite multiplicative sets always have a witness")
+    return star
 
 
 def saturation(s: MultSet) -> MultSet:

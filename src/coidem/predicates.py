@@ -16,6 +16,11 @@ subsets share one code path:
 For comultiplication and multiplication the ideal quantifier is eliminated:
 I = Ann(N) (resp. I = (N :_R M)) is a without-loss-of-generality choice, since
 any ideal witnessing the sandwich forces the canonical one to witness it too.
+For purity and copurity the quantifier runs over the primary ideals only: M,
+N and both colon ideals split over the p-primary parts of each ring
+component, and an I that is the whole ring off one part leaves the colon
+whole there, so the intersection over every I equals the one over the I that
+are (p^j) in one component and the whole ring in the others.
 
 The classical notions are exactly the S = {1} cases.
 """
@@ -56,6 +61,7 @@ from .rings import (
     IntegerRing,
     UnsupportedRingError,
     all_ideals,
+    factorize,
     ideal,
     ideal_contains,
     ideal_intersect,
@@ -64,7 +70,6 @@ from .rings import (
 )
 
 POINTWISE_PROPERTIES = ("coidempotent", "idempotent", "pure", "copure")
-MODULE_PROPERTIES = ("comultiplication", "multiplication", "semisimple")
 
 
 @dataclass(frozen=True)
@@ -114,11 +119,18 @@ def idempotent_witness_ideal(n: AnySubmodule) -> Ideal:
 
 
 @cache
+def _primary(i: Ideal) -> bool:
+    """I is (p^j), j >= 1, in one ring component and the whole ring elsewhere."""
+    proper = [d for d in (i.data if isinstance(i.data, tuple) else (i.data,)) if d != 1]
+    return len(proper) == 1 and len(factorize(proper[0])) == 1
+
+
+@cache
 def pure_witness_ideal(n: AnySubmodule) -> Ideal:
     ring = n.module.ring
     m = full_submodule(n.module)
     acc = unit_ideal(ring)
-    for i in all_ideals(ring):
+    for i in filter(_primary, all_ideals(ring)):
         left = ideal_action(i, n)
         right = sub_intersect(n, ideal_action(i, m))
         acc = ideal_intersect(acc, colon_ring(left, right))
@@ -130,7 +142,7 @@ def copure_witness_ideal(n: AnySubmodule) -> Ideal:
     ring = n.module.ring
     zero = zero_submodule(n.module)
     acc = unit_ideal(ring)
-    for i in all_ideals(ring):
+    for i in filter(_primary, all_ideals(ring)):
         left = sub_sum(n, colon_into(zero, i))
         right = colon_into(n, i)
         acc = ideal_intersect(acc, colon_ring(left, right))

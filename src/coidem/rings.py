@@ -285,7 +285,8 @@ def units(ring: Ring) -> frozenset:
     raise UnsupportedRingError("use the symbolic Units presentation over Z")
 
 
-def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:
+def maximal_ideals(ring: Ring) -> tuple[Ideal, ...]:
+    # Supported finite rings are artinian: primes and maximals coincide.
     if isinstance(ring, ModularRing):
         return tuple(Ideal(ring, p) for p in prime_factors(ring.n))
     if isinstance(ring, ProductRing):
@@ -297,9 +298,4 @@ def prime_ideals(ring: Ring) -> tuple[Ideal, ...]:
                 )
                 out.append(Ideal(ring, data))
         return tuple(out)
-    raise UnsupportedRingError("prime ideals of Z are not enumerable")
-
-
-def maximal_ideals(ring: Ring) -> tuple[Ideal, ...]:
-    # Supported finite rings are artinian: primes and maximals coincide.
-    return prime_ideals(ring)
+    raise UnsupportedRingError("maximal ideals of Z are not enumerable")

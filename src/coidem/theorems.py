@@ -17,6 +17,7 @@ cheap.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass, field
 from functools import cache, reduce
@@ -820,6 +821,9 @@ def verify_all(
         t for t in theorem_registry() if theorem_ids is None or t.id in theorem_ids
     ]
     tasks = [(inst, [t.id for t in registry], validate_witnesses, timings) for inst in corpus]
+    # the report does not depend on the job count: more workers than usable
+    # CPUs or than instances only add processes
+    jobs = min(jobs, len(os.sched_getaffinity(0)), len(tasks))
     if jobs > 1:
         import multiprocessing as mp
 

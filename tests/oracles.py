@@ -38,8 +38,10 @@ from coidem.rings import (
     all_ideals,
     element_of,
     ideal_contains,
+    ideal_intersect,
     ideal_product,
     is_prime,
+    unit_ideal,
 )
 
 
@@ -334,6 +336,26 @@ def pointwise_by_scan(prop: str, m, n, s) -> Verdict:
         if ok:
             return Verdict(True, witness=elem)
     return Verdict(False)
+
+
+def pure_witness_ideal_over_all_ideals(n):
+    """∩_I (IN :_R N ∩ IM) with I over every ideal of R, not only the primary ones."""
+    m = full_submodule(n.module)
+    acc = unit_ideal(n.module.ring)
+    for i in all_ideals(n.module.ring):
+        right = sub_intersect(n, ideal_action(i, m))
+        acc = ideal_intersect(acc, colon_ring(ideal_action(i, n), right))
+    return acc
+
+
+def copure_witness_ideal_over_all_ideals(n):
+    """∩_I ((N + (0:_M I)) :_R (N :_M I)) with I over every ideal of R."""
+    zero = zero_submodule(n.module)
+    acc = unit_ideal(n.module.ring)
+    for i in all_ideals(n.module.ring):
+        left = sub_sum(n, colon_into(zero, i))
+        acc = ideal_intersect(acc, colon_ring(left, colon_into(n, i)))
+    return acc
 
 
 # -- certificates by element scans -------------------------------------------------

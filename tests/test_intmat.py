@@ -1,11 +1,14 @@
 from math import gcd, prod
 
 import hypothesis.strategies as st
-from hypothesis import given
+from hypothesis import example, given
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from coidem import intmat
+from coidem.lattice import enumerate_submodules
+from coidem.modules import FinModule
+from coidem.rings import ModularRing
 
 from oracles import det
 
@@ -81,12 +84,33 @@ def test_smith_normal_form(mat):
         assert prod(diag) == prod(h[i][i] for i in range(k))
 
 
-@given(matrices())
-def test_smith_diagonal_matches_sympy(mat):
+def _smith_diagonal_matches_sympy(mat):
     s = intmat.smith_normal_form(mat)
+    assert len(s) == len(mat) and all(len(row) == len(mat[0]) for row in s)
     ours = [s[i][i] for i in range(min(len(mat), len(mat[0]))) if s[i][i]]
     theirs = [abs(int(d)) for d in invariant_factors(Matrix(mat), domain=ZZ) if d]
     assert ours == theirs
+
+
+@given(matrices())
+@example(((0, 0, 0), (0, 0, 0)))  # all zero
+@example(((4, -6, 10),))  # 1×k
+@example(((0, 0, 7),))
+@example(((4,), (-6,), (10,)))  # k×1
+@example(((0,), (0,), (9,)))
+@example(((2, 4, 6), (1, 2, 3)))  # rank-deficient, wide and tall
+@example(((2, 4), (-1, -2), (3, 6)))
+@example(((0, 2, 4, 0), (0, 3, 6, 0), (0, 0, 0, 0)))
+@example(((1, 2, 3), (4, 5, 6), (7, 8, 9), (2, 4, 6)))
+def test_smith_diagonal_matches_sympy(mat):
+    _smith_diagonal_matches_sympy(mat)
+
+
+def test_smith_diagonal_matches_sympy_on_submodule_bases():
+    # the Hermite bases `_invariant_factors` is handed for quotients M/N
+    for ring, factors in ((ModularRing(4), (2, 2, 4)), (ModularRing(36), (6, 36))):
+        for n in enumerate_submodules(FinModule(ring, factors)).all:
+            _smith_diagonal_matches_sympy(n.basis)
 
 
 @given(matrices())

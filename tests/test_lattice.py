@@ -5,12 +5,7 @@ import pytest
 from sympy import divisor_count
 
 from coidem import cli, lattice
-from coidem.lattice import (
-    LatticeCapExceeded,
-    ci_decomposition,
-    completely_irreducibles,
-    enumerate_submodules,
-)
+from coidem.lattice import LatticeCapExceeded, enumerate_submodules
 from coidem.modules import (
     FinModule,
     full_submodule,
@@ -18,7 +13,6 @@ from coidem.modules import (
     product_module,
     sub_intersect,
     sub_leq,
-    submodule_from_generators,
 )
 from coidem.rings import ModularRing
 from coidem.theorems import factor_lists
@@ -147,44 +141,35 @@ def test_cap_is_honoured_above_the_default(monkeypatch):
         enumerate_submodules(m, cap=10)
 
 
+def _completely_irreducibles(m):
+    return enumerate_submodules(m).completely_irreducibles()
+
+
 def test_completely_irreducibles_examples():
     m12 = module_from_factors(Z12, [12])
-    gens = sorted(ci.basis[0][0] for ci in completely_irreducibles(m12))
+    gens = sorted(ci.basis[0][0] for ci in _completely_irreducibles(m12))
     assert gens == [2, 3, 4]
     m4 = module_from_factors(Z4, [4])
-    assert sorted(c.order for c in completely_irreducibles(m4)) == [1, 2]
+    assert sorted(c.order for c in _completely_irreducibles(m4)) == [1, 2]
     m22 = module_from_factors(Z2, [2, 2])
-    cis = completely_irreducibles(m22)
+    cis = _completely_irreducibles(m22)
     assert sorted(c.order for c in cis) == [2, 2, 2]
 
 
-def test_ci_decomposition_examples():
-    m12 = module_from_factors(Z12, [12])
-    n6 = submodule_from_generators(m12, [(6,)])
-    assert sorted(d.basis[0][0] for d in ci_decomposition(n6)) == [2, 3]
-    ci0 = completely_irreducibles(module_from_factors(Z4, [4]))[0]
-    assert ci_decomposition(ci0) == (ci0,)
-    assert ci_decomposition(full_submodule(m12)) == ()
-
-
 def test_every_submodule_is_meet_of_its_ci_decomposition():
+    """Every N is the intersection of the completely irreducibles above it,
+    and the full module (the empty intersection) lies under none of them."""
     for n, facs in [(12, (12,)), (2, (2, 2, 2)), (4, (4, 2)), (6, (6, 2)), (16, (16,)),
                     (8, (2, 4)), (9, (3, 3))]:
         m = module_from_factors(ModularRing(n), facs)
+        cis = _completely_irreducibles(m)
         for sub in enumerate_submodules(m).all:
-            dec = ci_decomposition(sub)
             acc = full_submodule(m)
-            for d in dec:
-                acc = sub_intersect(acc, d)
-                assert sub_leq(sub, d)
+            for ci in cis:
+                if sub_leq(sub, ci):
+                    acc = sub_intersect(acc, ci)
             assert acc == sub
-            # irredundant: dropping any member grows the intersection
-            for skip in range(len(dec)):
-                acc2 = full_submodule(m)
-                for j, d in enumerate(dec):
-                    if j != skip:
-                        acc2 = sub_intersect(acc2, d)
-                assert acc2 != sub
+        assert not any(sub_leq(full_submodule(m), ci) for ci in cis)
 
 
 def _covers_by_scan(lat):

@@ -1,10 +1,11 @@
-"""Layout guard: every function, class and method in the package has a use.
+"""Layout guard: every function, class, method and module-level constant in
+the package has a use.
 
 A definition counts as used when some module of `src/coidem` names it outside
 its own body (a call, an attribute access, an import, a registry entry).  A
-top-level function or class also counts as used when `coidem/__init__.py`
-exports it; a method (dunders aside) must be named in `src/`.  Helpers only
-the tests need live in `tests/oracles.py` instead.
+top-level function, class or assigned name also counts as used when
+`coidem/__init__.py` exports it; a method (dunders aside) must be named in
+`src/`.  Helpers only the tests need live in `tests/oracles.py` instead.
 """
 
 import ast
@@ -27,15 +28,22 @@ def _names(node):
 
 
 def _definitions(tree):
-    """(node, exportable) for each top-level def and each non-dunder method."""
+    """(node, name, exportable) for each top-level def, each top-level
+    assigned name and each non-dunder method."""
     defs = (ast.FunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
-            yield node, True
+            yield node, node.name, True
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
+                        yield node, sub.id, True
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, defs) and not member.name.startswith("__"):
-                    yield member, False
+                    yield member, member.name, False
 
 
 def test_every_definition_is_used_or_exported():
@@ -52,9 +60,9 @@ def test_every_definition_is_used_or_exported():
     )
     unused = []
     for fname, tree in trees.items():
-        for node, exportable in _definitions(tree):
-            if exportable and node.name in exported:
+        for node, name, exportable in _definitions(tree):
+            if exportable and name in exported:
                 continue
-            if mentions[node.name] - Counter(_names(node))[node.name] <= 0:
-                unused.append(f"{fname}:{node.lineno} {node.name}")
+            if mentions[name] - Counter(_names(node))[name] <= 0:
+                unused.append(f"{fname}:{node.lineno} {name}")
     assert not unused, "defined but never used in src/coidem: " + ", ".join(unused)

@@ -289,12 +289,6 @@ def test_satisfies_max_multiple_examples():
     assert all(divides(Z4, t, w) for t in s13.elements)
     s2 = closure_in_ring(Z12, [2])
     assert satisfies_max_multiple(s2) == 4
-    assert satisfies_max_multiple(ZNonZero()) is None
-    assert satisfies_max_multiple(ZUnits()) == 1
-    assert satisfies_max_multiple(ZComplementOfPrimes((2,))) is None
-    assert satisfies_max_multiple(ZGeneratedBy((2,))) is None
-    assert satisfies_max_multiple(ZGeneratedBy((0,))) == 0
-    assert satisfies_max_multiple(ZGeneratedBy((-1, 1))) == 1
 
 
 @given(multsets())

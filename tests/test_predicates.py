@@ -11,6 +11,7 @@ from coidem.modules import (
     annihilator,
     full_submodule,
     module_from_factors,
+    product_module,
     submodule_from_generators,
     zero_submodule,
 )
@@ -45,7 +46,13 @@ from coidem.rings import ModularRing, UnsupportedRingError, Z, all_ideals, ideal
 from coidem.specs import parse_module, parse_ring
 from coidem.theorems import factor_lists
 
-from oracles import fully_coidempotent_z_by_kind, pointwise_by_scan, witness_is_sound_by_scan
+from oracles import (
+    copure_witness_ideal_over_all_ideals,
+    fully_coidempotent_z_by_kind,
+    pointwise_by_scan,
+    pure_witness_ideal_over_all_ideals,
+    witness_is_sound_by_scan,
+)
 
 Z2, Z4, Z6, Z12 = ModularRing(2), ModularRing(4), ModularRing(6), ModularRing(12)
 M4 = module_from_factors(Z4, [4])
@@ -435,6 +442,25 @@ def test_scan_oracle_agreement():
                         meets_ideal(s, predicates._WITNESS_IDEALS[prop](n)) is not None
                     )
                     assert scan == ideal_route
+
+
+def test_pure_copure_ideals_over_primary_ideals_match_all_ideals():
+    # the witness ideals intersect over the primary ideals only; the
+    # references intersect over every ideal of R.  Every module of order at
+    # most 12 and every cyclic module over Z/n, n <= 36 (|M| <= 64 takes minutes)
+    modules = [
+        FinModule(ModularRing(n), t)
+        for n in range(2, 37)
+        for t in sorted({*factor_lists(n, 12), (n,)})
+    ]
+    modules += [
+        product_module(FinModule(ModularRing(a), fa), FinModule(ModularRing(b), fb))
+        for a, fa, b, fb in ((4, (2, 4), 6, (6,)), (12, (12,), 9, (3, 9)), (2, (2, 2), 8, (8,)))
+    ]
+    for m in modules:
+        for n in enumerate_submodules(m).all:
+            assert predicates.pure_witness_ideal(n) == pure_witness_ideal_over_all_ideals(n)
+            assert predicates.copure_witness_ideal(n) == copure_witness_ideal_over_all_ideals(n)
 
 
 def test_uniform_equals_pointwise_under_max_multiple():

@@ -1,7 +1,8 @@
 import hashlib
 import json
+import multiprocessing
 
-from coidem import theorems
+from coidem import lattice, modules, multsets, predicates, rings, theorems
 from coidem.modules import FinModule, module_from_factors
 from coidem.multsets import MultSet, closure_in_ring, reduce_presentation, ZComplementOfPrimes
 from coidem.rings import ModularRing
@@ -175,6 +176,60 @@ def test_report_hash_is_the_same_for_every_job_count():
         report = verify_all(corpus, jobs=jobs, config=TINY)
         blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
         assert hashlib.sha256(blob.encode()).hexdigest() == TINY_REPORT_SHA256, jobs
+
+
+def test_verify_pool_is_capped_by_cpus_and_instances(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    corpus = generate_corpus(TINY)
+    report = verify_all(corpus, jobs=5000, config=TINY)
+    blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(blob.encode()).hexdigest() == TINY_REPORT_SHA256
+    assert sizes == [3]
+    verify_all(corpus[:2], theorem_ids={"T01"}, jobs=5000)
+    assert sizes == [3, 2]
+    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0})
+    verify_all(corpus, theorem_ids={"T01"}, jobs=5000)
+    assert sizes == [3, 2]  # one usable CPU: no pool at all
+
+
+def test_verify_reaches_every_layer_the_harness_benchmark_traces(monkeypatch, bench_tracing):
+    """`verify_all` with witness validation calls each function the
+    benchmark's `harness` workload must trace, so dropping one from the
+    harness path fails here."""
+    monkeypatch.setattr(lattice, "_memory_cache", {})
+    for mod in (lattice, modules, multsets, predicates, rings, theorems):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()  # a warm cache would skip the layers below it
+    corpus = generate_corpus(TINY)
+    tracer = bench_tracing.Tracer()
+    tracer.install()
+    try:
+        report = verify_all(corpus, config=TINY)
+    finally:
+        tracer.uninstall()
+    assert not report.violations and report.witness_checks["failed"] == 0
+    summary = tracer.summary()
+    missed = [n for n in bench_tracing.EXERCISED["harness"] if not summary.get(n, {}).get("calls")]
+    assert not missed
 
 
 # the same corpus with its 16 product instances, which TINY leaves out: their
