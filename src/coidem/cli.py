@@ -34,7 +34,7 @@ from .predicates import (
     s_noetherian,
     semisimple,
 )
-from .rings import UnsupportedRingError
+from .rings import FactorizationTooLarge, UnsupportedRingError
 from .specs import SpecError, parse_module, parse_multset, parse_ring, parse_submodule
 from .theorems import (
     CorpusConfig,
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, LatticeCapExceeded, MultSetTooLarge) as exc:
+    except (SpecError, LatticeCapExceeded, MultSetTooLarge, FactorizationTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -269,17 +269,9 @@ def _check_ideal_ring(i: Ideal, m: AnyModule):
 
 
 def ideal_action(i: Ideal, n: AnySubmodule) -> AnySubmodule:
-    """The submodule IN."""
+    """The submodule IN = dN, d the canonical generator (one per component)."""
     _check_ideal_ring(i, n.module)
-    if isinstance(n, ProductSubmodule):
-        comps = tuple(
-            ideal_action(ideal(part.module.ring, i.data[t]), part)
-            for t, part in enumerate(n.parts)
-        )
-        return ProductSubmodule(n.module, comps)
-    d = i.data
-    rows = [tuple(d * v for v in row) for row in n.basis]
-    return _submodule(n.module, rows)
+    return scalar_submodule(i.data, n)
 
 
 def scalar_submodule(s, n: AnySubmodule) -> AnySubmodule:

@@ -41,7 +41,6 @@ from .modules import (
     colon_ring,
     full_submodule,
     ideal_action,
-    scalar_submodule,
     sub_intersect,
     sub_leq,
     sub_sum,
@@ -244,31 +243,28 @@ def multiplication(m: AnyModule, s: AnyMultSet, uniform: bool = False) -> Verdic
 def direct_summand(m: AnyModule, n, s: AnyMultSet, strict_ds: bool = True) -> Verdict:
     """sM = N + K (with N ∩ K = 0 in the strict reading) for some s, K.
 
-    Deterministic witnesses: the least s in canonical element order admitting
-    a complement, then the least complement K in lattice order.
+    N + K has order |N|·|K|/|N ∩ K|, so once N + K = sM the strict reading
+    holds exactly when |N|·|K| = |sM|.  sM = (s)M, so each ideal (s) is tried
+    once.  Deterministic witnesses: the least s in canonical element order
+    admitting a complement, then the least complement K in lattice order.
     """
     if isinstance(m, ZModule):
         raise UnsupportedRingError("direct summands are decided on finite modules")
     s = resolve_multset(m, s)
     lattice = enumerate_submodules(m)
-    zero = zero_submodule(m)
-    n_order = n.order
+    tried = set()
     for elem in s.sorted_elements():
-        sm = scalar_submodule(elem, full_submodule(m))
+        i = ideal(m.ring, elem)
+        if i in tried:
+            continue
+        tried.add(i)
+        sm = ideal_action(i, full_submodule(m))
         if not sub_leq(n, sm):
             continue
-        sm_order = sm.order
         for k in lattice.all:
-            if strict_ds:
-                if n_order * k.order != sm_order:
-                    continue
-                if sub_sum(n, k) == sm and sub_intersect(n, k) == zero:
-                    return Verdict(True, witness=elem, complement=k)
-            else:
-                if sm_order % k.order:
-                    continue
-                if sub_sum(n, k) == sm:
-                    return Verdict(True, witness=elem, complement=k)
+            fits = n.order * k.order == sm.order if strict_ds else sm.order % k.order == 0
+            if fits and sub_sum(n, k) == sm:
+                return Verdict(True, witness=elem, complement=k)
     return Verdict(False)
 
 

@@ -28,13 +28,29 @@ class UnsupportedRingError(ValueError):
     """The operation needs enumeration (or finiteness) that Z cannot offer."""
 
 
+FACTOR_TRIAL_BOUND = 10**6
+
+
+class FactorizationTooLarge(RuntimeError):
+    """Trial division up to FACTOR_TRIAL_BOUND cannot factor the integer."""
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (inputs are desk scale)."""
+    """Prime factorization by trial division up to FACTOR_TRIAL_BOUND.
+
+    Once every prime up to the bound is divided out, a cofactor below the
+    square of the next prime is 1 or prime; a larger one raises.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     p = 2
     while p * p <= n:
+        if p > FACTOR_TRIAL_BOUND:
+            raise FactorizationTooLarge(
+                f"cannot factor: the cofactor {n} has no prime factor up to"
+                f" {FACTOR_TRIAL_BOUND:,} and is too large to be known prime"
+            )
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

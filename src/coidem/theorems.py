@@ -236,15 +236,10 @@ def _t03(inst: Instance):
     b = all(
         meets_ideal(s, _WITNESS_IDEALS["coidempotent"](ci)) is not None for ci in cis
     )
-    c = True
-    subs = lattice.all
-    for i in range(len(subs)):
-        for j in range(i, len(subs)):
-            if meets_ideal(s, _pair_sum_colon_ideal(subs[i], subs[j])) is None:
-                c = False
-                break
-        if not c:
-            break
+    c = all(
+        meets_ideal(s, _pair_sum_colon_ideal(n, k)) is not None
+        for n, k in itertools.combinations_with_replacement(lattice.all, 2)
+    )
     ok = a == b == c
     det = {} if ok else {"fully": a, "completely_irreducible": b, "pairwise": c}
     return _outcome(ok, True, det)
@@ -483,24 +478,17 @@ def _t16(inst: Instance):
     if not _fully("coidempotent", m, s).holds:
         return _outcome(True, False, {})
     subs = enumerate_submodules(m).all
-    families = [
-        combo
-        for size in (1, 2, 3)
-        for combo in itertools.combinations(range(len(subs)), size)
-    ]
-    families.append(tuple(range(len(subs))))
-    inter_ns = [reduce(sub_intersect, (subs[i] for i in fam)) for fam in families]
+    # the lattice is closed under meet and join: at most n² distinct pairs each
+    meet, join, colon = cache(sub_intersect), cache(sub_sum), cache(colon_ring)
+    families = [fam for r in (1, 2, 3) for fam in itertools.combinations(subs, r)]
+    families.append(subs)
     for k in subs:
-        sums = [sub_sum(n, k) for n in subs]
-        for fam, inter_n in zip(families, inter_ns):
-            inter_sums = reduce(sub_intersect, (sums[i] for i in fam))
-            target = sub_sum(inter_n, k)
-            if meets_ideal(s, colon_ring(target, inter_sums)) is None:
-                return _outcome(
-                    False,
-                    True,
-                    {"k": str(k), "family": [str(subs[i]) for i in fam[:4]]},
-                )
+        for fam in families:
+            inter_sums = reduce(meet, (join(n, k) for n in fam))
+            target = join(reduce(meet, fam), k)
+            if meets_ideal(s, colon(target, inter_sums)) is None:
+                details = {"k": str(k), "family": [str(n) for n in fam[:4]]}
+                return _outcome(False, True, details)
     return _outcome(True, True, {"family_sizes": "1..3 plus the full lattice"})
 
 

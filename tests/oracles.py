@@ -6,11 +6,14 @@ between the two is a real check.  None of them is used by the package.
 """
 
 import itertools
+from functools import reduce
 from math import gcd
 
+from coidem import theorems
 from coidem.intmat import hnf_square, in_rowspan
-from coidem.lattice import LatticeCapExceeded
+from coidem.lattice import LatticeCapExceeded, enumerate_submodules
 from coidem.modules import (
+    ZModule,
     annihilator,
     colon_into,
     colon_ring,
@@ -24,6 +27,7 @@ from coidem.modules import (
 )
 from coidem.multsets import (
     MultSet,
+    meets_ideal,
     ZComplementOfPrimes,
     ZGeneratedBy,
     ZNonZero,
@@ -456,3 +460,68 @@ def witness_is_sound_by_scan(prop: str, m, n, verdict) -> bool:
             return False
         return (n_set & k_set) == {m.zero_element}
     raise ValueError(f"no validator for {prop!r}")
+
+
+# -- lattice laws by recomputation ------------------------------------------------
+
+
+def direct_summand_by_intersection(m, n, s, strict_ds: bool = True) -> Verdict:
+    """sM = N + K (with N ∩ K = 0 in the strict reading), every s tried.
+
+    The strict reading builds N ∩ K and compares it with the zero submodule,
+    where `predicates.direct_summand` compares orders and skips repeated (s).
+    """
+    if isinstance(m, ZModule):
+        raise UnsupportedRingError("direct summands are decided on finite modules")
+    s = resolve_multset(m, s)
+    lattice = enumerate_submodules(m)
+    zero = zero_submodule(m)
+    n_order = n.order
+    for elem in s.sorted_elements():
+        sm = scalar_submodule(elem, full_submodule(m))
+        if not sub_leq(n, sm):
+            continue
+        sm_order = sm.order
+        for k in lattice.all:
+            if strict_ds:
+                if n_order * k.order != sm_order:
+                    continue
+                if sub_sum(n, k) == sm and sub_intersect(n, k) == zero:
+                    return Verdict(True, witness=elem, complement=k)
+            else:
+                if sm_order % k.order:
+                    continue
+                if sub_sum(n, k) == sm:
+                    return Verdict(True, witness=elem, complement=k)
+    return Verdict(False)
+
+
+def t16_by_index_families(inst):
+    """T16 over families of lattice indexes, every meet and join recomputed.
+
+    The hypothesis is read through `theorems._fully`, so a test that patches
+    it reaches this route and `theorems._t16` alike.
+    """
+    m, s = inst.module, inst.multset
+    if not theorems._fully("coidempotent", m, s).holds:
+        return theorems._outcome(True, False, {})
+    subs = enumerate_submodules(m).all
+    families = [
+        combo
+        for size in (1, 2, 3)
+        for combo in itertools.combinations(range(len(subs)), size)
+    ]
+    families.append(tuple(range(len(subs))))
+    inter_ns = [reduce(sub_intersect, (subs[i] for i in fam)) for fam in families]
+    for k in subs:
+        sums = [sub_sum(n, k) for n in subs]
+        for fam, inter_n in zip(families, inter_ns):
+            inter_sums = reduce(sub_intersect, (sums[i] for i in fam))
+            target = sub_sum(inter_n, k)
+            if meets_ideal(s, colon_ring(target, inter_sums)) is None:
+                return theorems._outcome(
+                    False,
+                    True,
+                    {"k": str(k), "family": [str(subs[i]) for i in fam[:4]]},
+                )
+    return theorems._outcome(True, True, {"family_sizes": "1..3 plus the full lattice"})

@@ -162,6 +162,38 @@ def test_closure_over_the_bound_exits_2(capsys, monkeypatch):
     assert code == 2 and "at most 600 elements" in err
 
 
+def test_unfactorable_modulus_exits_2_fast():
+    # 10^18 + 3 has no prime factor up to the trial-division bound of 10^6;
+    # the timeout stops a regression to unbounded trial division
+    big = "1000000000000000003"
+    refused = (
+        ("enumerate", "--ring", f"Z/{big}", "--module", f"Z/{big}"),
+        ("check", "--ring", f"Z/{big}", "--module", f"Z/{big}", "--s", "units",
+         "--property", "fully-coidempotent"),
+        ("check", "--ring", "Z", "--module", f"Z/{big}", "--s", "units",
+         "--property", "fully-coidempotent"),
+        ("check", "--ring", "Z", "--module", "Z", "--s", f"comp-primes:{big}",
+         "--property", "fully-coidempotent"),
+        ("check", "--ring", "Z", "--module", "Z", "--s", "gen:2",
+         "--property", "coidempotent", "--sub", f"gens:{big}"),
+    )
+    answered = (
+        "check", "--ring", f"Z/{big}", "--module", f"Z/{big}", "--s", "units",
+        "--property", "coidempotent", "--sub", "gens:1",
+    )
+    for argv in refused + (answered,):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coidem.cli", *argv],
+            capture_output=True, text=True, timeout=2,
+        )
+        if argv is answered:
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            continue
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.startswith("error: cannot factor"), argv
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_check_reaches_every_layer_the_check_benchmark_traces(capsys, bench_tracing):
     """A few `check` calls reach each function the benchmark's `check`
     workload must trace, so dropping one from the check path fails here."""

@@ -44,10 +44,11 @@ from coidem.predicates import (
 )
 from coidem.rings import ModularRing, UnsupportedRingError, Z, all_ideals, ideal_contains
 from coidem.specs import parse_module, parse_ring
-from coidem.theorems import factor_lists
+from coidem.theorems import CorpusConfig, factor_lists, generate_corpus, s_choices
 
 from oracles import (
     copure_witness_ideal_over_all_ideals,
+    direct_summand_by_intersection,
     fully_coidempotent_z_by_kind,
     pointwise_by_scan,
     pure_witness_ideal_over_all_ideals,
@@ -530,6 +531,35 @@ def test_strict_vs_loose_direct_summand():
         strict = direct_summand(M6, n, one_multset(Z6), strict_ds=True)
         if strict.holds:
             assert direct_summand(M6, n, one_multset(Z6), strict_ds=False).holds
+
+
+def test_direct_summand_matches_intersection_oracle():
+    # every module over Z/n, n <= 12, of order <= 16 under every s_choices
+    # set, and the product corpus: same verdict, witness and complement,
+    # strict and loose.  The two lattices above 16 submodules, (Z/2)^4 and
+    # Z/2+Z/2+Z/4, run over Z/2 and Z/4 only; over every ring they take more
+    # than half of the sweep.
+    modules = [
+        FinModule(ModularRing(n), factors)
+        for n in range(2, 13)
+        for factors in factor_lists(n, 16)
+    ]
+    cases = [
+        (m, s)
+        for m in modules
+        if len(enumerate_submodules(m)) <= 16 or m.ring.n == m.factors[-1]
+        for s in s_choices(m.ring)
+    ]
+    cases += [
+        (inst.module, inst.multset)
+        for inst in generate_corpus(CorpusConfig(moduli=(), include_products=True))
+    ]
+    for m, s in cases:
+        for n in enumerate_submodules(m).all:
+            for strict in (True, False):
+                assert direct_summand(m, n, s, strict) == direct_summand_by_intersection(
+                    m, n, s, strict
+                ), (m, s, n, strict)
 
 
 def test_semisimple():

@@ -3,12 +3,15 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from coidem.rings import (
+    FACTOR_TRIAL_BOUND,
+    FactorizationTooLarge,
     ModularRing,
     RingMismatchError,
     UnsupportedRingError,
     Z,
     all_ideals,
     divisors,
+    factorize,
     ideal,
     ideal_contains,
     ideal_from_generators,
@@ -123,6 +126,17 @@ def test_divides_vs_ideal_inclusion(n, t, s):
 def test_divisors_match_scan():
     for n in range(1, 3000):
         assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_factorize_bound():
+    assert FACTOR_TRIAL_BOUND == 10**6
+    # past the bound, a cofactor below the next prime's square is prime
+    assert factorize(999_999_999_989) == {999_999_999_989: 1}
+    assert factorize(2**40 * 999_983**2) == {2: 40, 999_983: 2}
+    assert factorize(999_983 * 999_999_999_989) == {999_983: 1, 999_999_999_989: 1}
+    for n in (1_000_003 * 1_000_033, 10**18 + 3):
+        with pytest.raises(FactorizationTooLarge):
+            factorize(n)
 
 
 def test_ideal_count_matches_divisor_count():

@@ -5,6 +5,7 @@ import multiprocessing
 from coidem import lattice, modules, multsets, predicates, rings, theorems
 from coidem.modules import FinModule, module_from_factors
 from coidem.multsets import MultSet, closure_in_ring, reduce_presentation, ZComplementOfPrimes
+from coidem.predicates import Verdict
 from coidem.rings import ModularRing
 from coidem.theorems import (
     CorpusConfig,
@@ -17,6 +18,8 @@ from coidem.theorems import (
     theorem_registry,
     verify_all,
 )
+
+from oracles import t16_by_index_families
 
 SMALL = CorpusConfig(moduli=(2, 3, 4, 6), max_order=8, include_products=True)
 
@@ -148,6 +151,44 @@ def test_size_gate_reports_inapplicable():
     result = run_check(registry["T16"], inst)
     assert result.status == "inapplicable"
     assert result.details.get("size_gate") == 12
+
+
+def test_t16_violations_match_index_family_oracle(monkeypatch):
+    # the corpus never violates T16 (its passes are pinned by the report
+    # hash), so the hypothesis is forced to "hold" on modules that are not
+    # fully S-coidempotent
+    corpus = [
+        inst
+        for inst in generate_corpus(SMALL)
+        if len(lattice.enumerate_submodules(inst.module)) <= 12
+    ]
+    monkeypatch.setattr(theorems, "_fully", lambda prop, m, s: Verdict(True))
+    violations = 0
+    for inst in corpus:
+        outcome = theorems._t16(inst)
+        assert outcome == t16_by_index_families(inst), inst.label
+        violations += outcome[0] == "violation"
+    assert violations > 0
+
+
+def test_t16_computes_each_lattice_pair_once(monkeypatch):
+    # Z/60 has 12 submodules, T16's gate; with 0 in S the hypothesis holds
+    ring = ModularRing(60)
+    m = FinModule(ring, (60,))
+    n = len(lattice.enumerate_submodules(m))
+    assert n == 12
+    calls = {}
+    for name in ("sub_intersect", "sub_sum", "colon_ring"):
+        def counted(*args, _name=name, _real=getattr(theorems, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(theorems, name, counted)
+    t16 = {t.id: t for t in theorem_registry()}["T16"]
+    result = run_check(t16, Instance(m, closure_in_ring(ring, [0]), "z60"))
+    assert result.status == "pass" and not result.vacuous
+    assert set(calls) == {"sub_intersect", "sub_sum", "colon_ring"}
+    assert all(count <= n * n for count in calls.values()), calls
 
 
 def test_reproduce_examples_all_pass():
