@@ -40,9 +40,8 @@ from .rings import (
     factorize,
     ideal,
     ideal_contains,
-    ideal_intersect,
+    ideal_meet,
     is_prime,
-    unit_ideal,
 )
 
 # the most elements a finite S may have: a stored S of 10^6 residues takes
@@ -278,10 +277,7 @@ def satisfies_max_multiple(s: MultSet):
     elements lies there); the least witness in canonical element order is
     returned.
     """
-    common = unit_ideal(s.ring)
-    for t in s.elements:
-        common = ideal_intersect(common, ideal(s.ring, t))
-    star = meets_ideal(s, common)
+    star = meets_ideal(s, ideal_meet(s.ring, (ideal(s.ring, t) for t in s.elements)))
     if star is None:
         raise AssertionError("finite multiplicative sets always have a witness")
     return star

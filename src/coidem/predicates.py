@@ -63,9 +63,8 @@ from .rings import (
     factorize,
     ideal,
     ideal_contains,
-    ideal_intersect,
+    ideal_meet,
     ideal_product,
-    unit_ideal,
 )
 
 POINTWISE_PROPERTIES = ("coidempotent", "idempotent", "pure", "copure")
@@ -126,26 +125,21 @@ def _primary(i: Ideal) -> bool:
 
 @cache
 def pure_witness_ideal(n: AnySubmodule) -> Ideal:
-    ring = n.module.ring
-    m = full_submodule(n.module)
-    acc = unit_ideal(ring)
-    for i in filter(_primary, all_ideals(ring)):
-        left = ideal_action(i, n)
-        right = sub_intersect(n, ideal_action(i, m))
-        acc = ideal_intersect(acc, colon_ring(left, right))
-    return acc
+    ring, m = n.module.ring, full_submodule(n.module)
+    primaries = filter(_primary, all_ideals(ring))
+    return ideal_meet(
+        ring,
+        (colon_ring(ideal_action(i, n), sub_intersect(n, ideal_action(i, m))) for i in primaries),
+    )
 
 
 @cache
 def copure_witness_ideal(n: AnySubmodule) -> Ideal:
-    ring = n.module.ring
-    zero = zero_submodule(n.module)
-    acc = unit_ideal(ring)
-    for i in filter(_primary, all_ideals(ring)):
-        left = sub_sum(n, colon_into(zero, i))
-        right = colon_into(n, i)
-        acc = ideal_intersect(acc, colon_ring(left, right))
-    return acc
+    ring, zero = n.module.ring, zero_submodule(n.module)
+    primaries = filter(_primary, all_ideals(ring))
+    return ideal_meet(
+        ring, (colon_ring(sub_sum(n, colon_into(zero, i)), colon_into(n, i)) for i in primaries)
+    )
 
 
 @cache
@@ -206,24 +200,42 @@ def copure(m: AnyModule, n, s: AnyMultSet) -> Verdict:
     return _pointwise("copure", m, n, s)
 
 
-def _per_submodule_all(prop: str, m: AnyModule, s: AnyMultSet, uniform: bool) -> Verdict:
-    """One `meets_ideal` query on the intersection of every witness ideal.
+# -- one s for a list of S-independent ideals ---------------------------------
 
-    A finite S has a maximal multiple, so S meets the intersection exactly
-    when it meets each ideal; the lattice is scanned only for the first
-    counterexample.  `uniform` decides whether the common witness is reported.
+
+@cache
+def meet_of(ideals_of, m: AnyModule) -> Ideal:
+    """The intersection of the (label, ideal) pairs `ideals_of(m)` lists, once per module."""
+    return ideal_meet(m.ring, (w for _, w in ideals_of(m)))
+
+
+def first_miss(s: MultSet, ideals_of, m: AnyModule):
+    """The first label of `ideals_of(m)` whose ideal S misses, or None.
+
+    A finite S has a maximal multiple s*, which every element of S divides,
+    so S meets each ideal of the list exactly when it meets their
+    intersection.  Only a miss walks the list again, for its first label.
     """
+    if meets_ideal(s, meet_of(ideals_of, m)) is not None:
+        return None
+    return next(label for label, w in ideals_of(m) if meets_ideal(s, w) is None)
+
+
+@cache
+def _lattice_witness_ideals(prop: str):
+    """The list of `prop`'s witness ideal at each submodule, labelled by the submodule."""
+    return lambda m: ((n, _WITNESS_IDEALS[prop](n)) for n in enumerate_submodules(m).all)
+
+
+def _per_submodule_all(prop: str, m: AnyModule, s: AnyMultSet, uniform: bool) -> Verdict:
+    """Every submodule has the property; `uniform` reports the least s that
+    meets the intersection of the witness ideals."""
     s = resolve_multset(m, s)
-    lattice = enumerate_submodules(m)
-    table = _WITNESS_IDEALS[prop]
-    acc = unit_ideal(m.ring)
-    for n in lattice.all:
-        acc = ideal_intersect(acc, table(n))
-    witness = meets_ideal(s, acc)
-    if witness is not None:
-        return Verdict(True, witness=witness if uniform else None)
-    misses = (n for n in lattice.all if meets_ideal(s, table(n)) is None)
-    return Verdict(False, counterexample=next(misses))
+    ideals_of = _lattice_witness_ideals(prop)
+    miss = first_miss(s, ideals_of, m)
+    if miss is not None:
+        return Verdict(False, counterexample=miss)
+    return Verdict(True, witness=meets_ideal(s, meet_of(ideals_of, m)) if uniform else None)
 
 
 def comultiplication(m: AnyModule, s: AnyMultSet, uniform: bool = False) -> Verdict:
@@ -244,21 +256,26 @@ def direct_summand(m: AnyModule, n, s: AnyMultSet, strict_ds: bool = True) -> Ve
     """sM = N + K (with N ∩ K = 0 in the strict reading) for some s, K.
 
     N + K has order |N|·|K|/|N ∩ K|, so once N + K = sM the strict reading
-    holds exactly when |N|·|K| = |sM|.  sM = (s)M, so each ideal (s) is tried
-    once.  Deterministic witnesses: the least s in canonical element order
-    admitting a complement, then the least complement K in lattice order.
+    holds exactly when |N|·|K| = |sM|.  sM = (s)M, so each ideal (s) is read
+    once, and each sM is tried once: a later s with the same sM cannot succeed
+    where an earlier one failed.  Deterministic witnesses: the least s in
+    canonical element order admitting a complement, then the least complement
+    K in lattice order.
     """
     if isinstance(m, ZModule):
         raise UnsupportedRingError("direct summands are decided on finite modules")
     s = resolve_multset(m, s)
     lattice = enumerate_submodules(m)
-    tried = set()
+    ideals, tried = set(), set()
     for elem in s.sorted_elements():
         i = ideal(m.ring, elem)
-        if i in tried:
+        if i in ideals:
             continue
-        tried.add(i)
+        ideals.add(i)
         sm = ideal_action(i, full_submodule(m))
+        if sm in tried:
+            continue
+        tried.add(sm)
         if not sub_leq(n, sm):
             continue
         for k in lattice.all:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from math import gcd, lcm
 
 
@@ -269,6 +269,11 @@ def ideal_intersect(i: Ideal, j: Ideal) -> Ideal:
     if isinstance(i.ring, ProductRing):
         return ideal(i.ring, tuple(lcm(a, b) for a, b in zip(i.data, j.data)))
     return ideal(i.ring, lcm(i.data, j.data))
+
+
+def ideal_meet(ring: Ring, ideals) -> Ideal:
+    """The intersection of `ideals`, the whole ring when there are none."""
+    return reduce(ideal_intersect, ideals, unit_ideal(ring))
 
 
 def ideal_contains(i: Ideal, x) -> bool:

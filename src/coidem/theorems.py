@@ -9,9 +9,12 @@ vacuous so it never counts as real coverage.  Equivalence-style entries
 
 Quadratic-in-lattice checks carry per-entry lattice-size gates so the default
 corpus stays inside its time budget; gated instances report as inapplicable
-with a size_gate detail.  All witness ideals that do not depend on S are
-cached per submodule, so re-checking the same module under many S choices is
-cheap.
+with a size_gate detail.  Witness ideals that do not depend on S are built
+once: those of one submodule (or of one pair, for T03) are cached per
+submodule, and each list that a single s must serve (T03, T16, T19 and every
+fully-* or (co)multiplication check) is cached per module as its intersection
+by `predicates.meet_of`.  Re-checking the same module under another S costs one
+`meets_ideal` per list; only a miss walks its list again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache, partial, reduce
 
 from .lattice import enumerate_submodules
 from .modules import (
@@ -61,6 +64,7 @@ from .predicates import (
     comultiplication,
     coidempotent,
     direct_summand,
+    first_miss,
     fully,
     fully_coidempotent_z,
     multiplication,
@@ -75,11 +79,10 @@ from .rings import (
     all_ideals,
     divisors,
     ideal_contains,
-    ideal_intersect,
+    ideal_meet,
     ideal_product,
     maximal_ideals,
     prime_factors,
-    unit_ideal,
     units,
 )
 from .specs import SpecError
@@ -124,23 +127,17 @@ def _pair_sum_colon_ideal(n: AnySubmodule, k: AnySubmodule) -> Ideal:
 @cache
 def _copure_c_ideal(n: AnySubmodule) -> Ideal:
     """The T14(c) witness ideal: meet over K containing N of (K :_R (N :_M Ann(K)))."""
-    m = n.module
-    acc = unit_ideal(m.ring)
-    for k in enumerate_submodules(m).all:
-        if sub_leq(n, k):
-            acc = ideal_intersect(acc, colon_ring(k, colon_into(n, _ann(k))))
-    return acc
+    subs = enumerate_submodules(n.module).all
+    colons = (colon_ring(k, colon_into(n, _ann(k))) for k in subs if sub_leq(n, k))
+    return ideal_meet(n.module.ring, colons)
 
 
 @cache
 def _copure_d_ideal(n: AnySubmodule) -> Ideal:
     """The T14(d) witness ideal: meet over all K of ((N :_M (N :_R K)) :_R (N :_M Ann(K)))."""
-    m = n.module
-    acc = unit_ideal(m.ring)
-    for k in enumerate_submodules(m).all:
-        target = colon_into(n, colon_ring(n, k))
-        acc = ideal_intersect(acc, colon_ring(target, colon_into(n, _ann(k))))
-    return acc
+    subs = enumerate_submodules(n.module).all
+    colons = (colon_ring(colon_into(n, colon_ring(n, k)), colon_into(n, _ann(k))) for k in subs)
+    return ideal_meet(n.module.ring, colons)
 
 
 # -- instances and results ----------------------------------------------------
@@ -194,52 +191,59 @@ def _outcome(ok: bool, applicable: bool, details: dict):
     return "pass", (not applicable), details
 
 
+def _implications(*parts):
+    """One-way laws, each part (hypothesis, conclusion thunk, detail key): a
+    conclusion is evaluated only where its hypothesis holds, and a failing one
+    records its counterexample under its key."""
+    details = {}
+    applicable = False
+    for hypothesis, conclusion, key in parts:
+        if hypothesis:
+            applicable = True
+            verdict = conclusion()
+            if not verdict.holds:
+                details[key] = str(verdict.counterexample)
+    return _outcome(not details, applicable, details)
+
+
 # -- the twenty checks --------------------------------------------------------
 
 
 def _t01(inst: Instance):
     m, s = inst.module, inst.multset
-    one = one_multset(m.ring)
-    classical = _fully("coidempotent", m, one)
+    classical = _fully("coidempotent", m, one_multset(m.ring))
     with_s = _fully("coidempotent", m, s)
-    details = {}
-    ok = True
-    applicable = False
-    if classical.holds:
-        applicable = True
-        if not with_s.holds:
-            ok = False
-            details["forward_counterexample"] = str(with_s.counterexample)
-    if set(s.elements) <= units(m.ring) and with_s.holds:
-        applicable = True
-        if not classical.holds:
-            ok = False
-            details["converse_counterexample"] = str(classical.counterexample)
-    return _outcome(ok, applicable, details)
+    converse = set(s.elements) <= units(m.ring) and with_s.holds
+    return _implications(
+        (classical.holds, lambda: with_s, "forward_counterexample"),
+        (converse, lambda: classical, "converse_counterexample"),
+    )
 
 
 def _t02(inst: Instance):
     m, s = inst.module, inst.multset
-    hyp = _fully("coidempotent", m, s)
-    if not hyp.holds:
-        return _outcome(True, False, {})
-    concl = _comult(m, s)
-    det = {} if concl.holds else {"counterexample": str(concl.counterexample)}
-    return _outcome(concl.holds, True, det)
+    return _implications(
+        (_fully("coidempotent", m, s).holds, partial(_comult, m, s), "counterexample")
+    )
+
+
+def _ci_coidempotent_ideals(m: AnyModule):
+    """T03(b)'s list: the coidempotent witness ideal of each completely irreducible."""
+    cis = enumerate_submodules(m).completely_irreducibles()
+    return ((ci, _WITNESS_IDEALS["coidempotent"](ci)) for ci in cis)
+
+
+def _pair_ideals(m: AnyModule):
+    """T03(c)'s list: the witness ideal of each unordered pair of submodules."""
+    pairs = itertools.combinations_with_replacement(enumerate_submodules(m).all, 2)
+    return ((pair, _pair_sum_colon_ideal(*pair)) for pair in pairs)
 
 
 def _t03(inst: Instance):
     m, s = inst.module, inst.multset
-    lattice = enumerate_submodules(m)
     a = _fully("coidempotent", m, s).holds
-    cis = lattice.completely_irreducibles()
-    b = all(
-        meets_ideal(s, _WITNESS_IDEALS["coidempotent"](ci)) is not None for ci in cis
-    )
-    c = all(
-        meets_ideal(s, _pair_sum_colon_ideal(n, k)) is not None
-        for n, k in itertools.combinations_with_replacement(lattice.all, 2)
-    )
+    b = first_miss(s, _ci_coidempotent_ideals, m) is None
+    c = first_miss(s, _pair_ideals, m) is None
     ok = a == b == c
     det = {} if ok else {"fully": a, "completely_irreducible": b, "pairwise": c}
     return _outcome(ok, True, det)
@@ -247,28 +251,14 @@ def _t03(inst: Instance):
 
 def _t04(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _comult(m, s).holds:
-        return _outcome(True, False, {})
-    lattice = enumerate_submodules(m)
-    ci_ds = all(
-        direct_summand(m, ci, s).holds for ci in lattice.completely_irreducibles()
+    comult = _comult(m, s).holds
+    cis = enumerate_submodules(m).completely_irreducibles
+    ci_ds = comult and all(direct_summand(m, ci, s).holds for ci in cis())
+    coid = partial(_fully, "coidempotent", m, s)
+    return _implications(
+        (ci_ds, coid, "part_a_counterexample"),
+        (comult and _semisimple(m, s).holds, coid, "part_b_counterexample"),
     )
-    details = {}
-    ok = True
-    applicable = False
-    if ci_ds:
-        applicable = True
-        concl = _fully("coidempotent", m, s)
-        if not concl.holds:
-            ok = False
-            details["part_a_counterexample"] = str(concl.counterexample)
-    if _semisimple(m, s).holds:
-        applicable = True
-        concl = _fully("coidempotent", m, s)
-        if not concl.holds:
-            ok = False
-            details["part_b_counterexample"] = str(concl.counterexample)
-    return _outcome(ok, applicable, details)
 
 
 def _t05(inst: Instance):
@@ -455,28 +445,17 @@ def _t14(inst: Instance):
 
 def _t15(inst: Instance):
     m, s = inst.module, inst.multset
-    coid = _fully("coidempotent", m, s)
-    copure_v = _fully("copure", m, s)
-    details = {}
-    ok = True
-    applicable = False
-    if coid.holds:
-        applicable = True
-        if not copure_v.holds:
-            ok = False
-            details["copure_counterexample"] = str(copure_v.counterexample)
-    if _comult(m, s).holds and copure_v.holds:
-        applicable = True
-        if not coid.holds:
-            ok = False
-            details["coidempotent_counterexample"] = str(coid.counterexample)
-    return _outcome(ok, applicable, details)
+    coid, copure_v = _fully("coidempotent", m, s), _fully("copure", m, s)
+    converse = _comult(m, s).holds and copure_v.holds
+    return _implications(
+        (coid.holds, lambda: copure_v, "copure_counterexample"),
+        (converse, lambda: coid, "coidempotent_counterexample"),
+    )
 
 
-def _t16(inst: Instance):
-    m, s = inst.module, inst.multset
-    if not _fully("coidempotent", m, s).holds:
-        return _outcome(True, False, {})
+def _t16_ideals(m: AnyModule):
+    """T16's list: ((⋂N) + K :_R ⋂(N + K)) for each K and each family of
+    one to three submodules or the whole lattice."""
     subs = enumerate_submodules(m).all
     # the lattice is closed under meet and join: at most n² distinct pairs each
     meet, join, colon = cache(sub_intersect), cache(sub_sum), cache(colon_ring)
@@ -485,11 +464,18 @@ def _t16(inst: Instance):
     for k in subs:
         for fam in families:
             inter_sums = reduce(meet, (join(n, k) for n in fam))
-            target = join(reduce(meet, fam), k)
-            if meets_ideal(s, colon(target, inter_sums)) is None:
-                details = {"k": str(k), "family": [str(n) for n in fam[:4]]}
-                return _outcome(False, True, details)
-    return _outcome(True, True, {"family_sizes": "1..3 plus the full lattice"})
+            yield (k, fam), colon(join(reduce(meet, fam), k), inter_sums)
+
+
+def _t16(inst: Instance):
+    m, s = inst.module, inst.multset
+    if not _fully("coidempotent", m, s).holds:
+        return _outcome(True, False, {})
+    miss = first_miss(s, _t16_ideals, m)
+    if miss is None:
+        return _outcome(True, True, {"family_sizes": "1..3 plus the full lattice"})
+    k, fam = miss
+    return _outcome(False, True, {"k": str(k), "family": [str(n) for n in fam[:4]]})
 
 
 def _t17(inst: Instance):
@@ -508,45 +494,36 @@ def _t17(inst: Instance):
 
 def _t18(inst: Instance):
     m, s = inst.module, inst.multset
-    comult_h = _comult(m, s).holds
-    mult_h = _mult(m, s).holds
-    parts = {
-        "a": (mult_h and _fully("copure", m, s).holds, "pure"),
-        "b": (comult_h and _fully("pure", m, s).holds, "copure"),
-        "c": (mult_h and _fully("coidempotent", m, s).holds, "idempotent"),
-        "d": (comult_h and _fully("idempotent", m, s).holds, "coidempotent"),
-    }
-    ok = True
-    applicable = False
-    details = {}
-    for name, (hyp, concl_prop) in parts.items():
-        if not hyp:
-            continue
-        applicable = True
-        v = _fully(concl_prop, m, s)
-        if not v.holds:
-            ok = False
-            details[f"part_{name}_counterexample"] = str(v.counterexample)
-    return _outcome(ok, applicable, details)
+    comult, mult = _comult(m, s).holds, _mult(m, s).holds
+    parts = [
+        (on and _fully(hyp, m, s).holds, partial(_fully, concl, m, s), key)
+        for key, on, hyp, concl in (
+            ("part_a_counterexample", mult, "copure", "pure"),
+            ("part_b_counterexample", comult, "pure", "copure"),
+            ("part_c_counterexample", mult, "coidempotent", "idempotent"),
+            ("part_d_counterexample", comult, "idempotent", "coidempotent"),
+        )
+    ]
+    return _implications(*parts)
+
+
+def _t19_ideals(m: AnyModule):
+    """T19's list: (IM :_R JM) for each pair of ideals with (0 :_M I) ⊆ (0 :_M J)."""
+    ideals = all_ideals(m.ring)
+    torsions = {i: colon_into(zero_submodule(m), i) for i in ideals}
+    actions = {i: ideal_action(i, full_submodule(m)) for i in ideals}
+    for i, j in itertools.product(ideals, repeat=2):
+        if sub_leq(torsions[i], torsions[j]):
+            yield (i, j), colon_ring(actions[i], actions[j])
 
 
 def _t19(inst: Instance):
     m, s = inst.module, inst.multset
     if not _comult(m, s).holds:
         return _outcome(True, False, {})
-    ring = m.ring
-    zero = zero_submodule(m)
-    full = full_submodule(m)
-    ideals = all_ideals(ring)
-    torsions = {i: colon_into(zero, i) for i in ideals}
-    actions = {i: ideal_action(i, full) for i in ideals}
-    for i in ideals:
-        for j in ideals:
-            if not sub_leq(torsions[i], torsions[j]):
-                continue
-            if meets_ideal(s, colon_ring(actions[i], actions[j])) is None:
-                return _outcome(False, True, {"i": str(i), "j": str(j)})
-    return _outcome(True, True, {})
+    miss = first_miss(s, _t19_ideals, m)
+    det = {} if miss is None else {"i": str(miss[0]), "j": str(miss[1])}
+    return _outcome(miss is None, True, det)
 
 
 def _t20(inst: Instance):

@@ -124,6 +124,25 @@ def test_direct_summand_examples():
     assert v0.holds and v0.complement == full_submodule(M4) and v0.witness == 1
 
 
+def test_direct_summand_tries_each_sm_once(monkeypatch):
+    # over Z/12, (1) and (3) are distinct ideals with the same sM = Z/4
+    ring = ModularRing(12)
+    m = FinModule(ring, (4,))
+    n = submodule_from_generators(m, [(2,)])
+    s = closure_in_ring(ring, [3])
+    assert s.elements == frozenset({1, 3, 9})
+    sums = []
+
+    def counted(*args, _real=predicates.sub_sum):
+        sums.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(predicates, "sub_sum", counted)
+    v = direct_summand(m, n, s)
+    assert v == direct_summand_by_intersection(m, n, s) and not v.holds
+    assert len(sums) == 1
+
+
 def test_s_finite_examples():
     assert s_finite(M4, N2_4, one_multset(Z4)).holds
     assert s_finite(ZModule(), 5, ZNonZero()).holds

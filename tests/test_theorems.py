@@ -4,7 +4,13 @@ import multiprocessing
 
 from coidem import lattice, modules, multsets, predicates, rings, theorems
 from coidem.modules import FinModule, module_from_factors
-from coidem.multsets import MultSet, closure_in_ring, reduce_presentation, ZComplementOfPrimes
+from coidem.multsets import (
+    MultSet,
+    ZComplementOfPrimes,
+    closure_in_ring,
+    meets_ideal,
+    reduce_presentation,
+)
 from coidem.predicates import Verdict
 from coidem.rings import ModularRing
 from coidem.theorems import (
@@ -19,7 +25,17 @@ from coidem.theorems import (
     verify_all,
 )
 
-from oracles import t16_by_index_families
+import oracles
+from oracles import (
+    t01_by_cases,
+    t02_by_cases,
+    t03_by_scans,
+    t04_by_cases,
+    t15_by_cases,
+    t16_by_index_families,
+    t18_by_cases,
+    t19_by_scans,
+)
 
 SMALL = CorpusConfig(moduli=(2, 3, 4, 6), max_order=8, include_products=True)
 
@@ -172,11 +188,13 @@ def test_t16_violations_match_index_family_oracle(monkeypatch):
 
 
 def test_t16_computes_each_lattice_pair_once(monkeypatch):
-    # Z/60 has 12 submodules, T16's gate; with 0 in S the hypothesis holds
+    # Z/60 has 12 submodules, T16's gate; with 0 in S, and with 2 in S (which
+    # kills the 2-part, leaving Z/15), the hypothesis holds
     ring = ModularRing(60)
     m = FinModule(ring, (60,))
     n = len(lattice.enumerate_submodules(m))
     assert n == 12
+    predicates.meet_of.cache_clear()  # a cold build, whatever ran before
     calls = {}
     for name in ("sub_intersect", "sub_sum", "colon_ring"):
         def counted(*args, _name=name, _real=getattr(theorems, name)):
@@ -189,6 +207,107 @@ def test_t16_computes_each_lattice_pair_once(monkeypatch):
     assert result.status == "pass" and not result.vacuous
     assert set(calls) == {"sub_intersect", "sub_sum", "colon_ring"}
     assert all(count <= n * n for count in calls.values()), calls
+    # the module's list is built once: another S reads only its intersection
+    calls.clear()
+    result = run_check(t16, Instance(m, closure_in_ring(ring, [2]), "z60 powers of 2"))
+    assert result.status == "pass" and not result.vacuous
+    assert not calls, calls
+
+
+def _gated(theorem_id: str):
+    """The small corpus's instances inside the theorem's lattice-size gate."""
+    gate = {t.id: t.max_lattice for t in theorem_registry()}[theorem_id]
+    return [
+        inst
+        for inst in generate_corpus(SMALL)
+        if gate is None or len(lattice.enumerate_submodules(inst.module)) <= gate
+    ]
+
+
+def test_first_miss_matches_the_in_order_scan():
+    """Every list of ideals a law reads, on every module and S of the small
+    corpus: the query on the intersection names the scan's first miss."""
+    gates = {t.id: t.max_lattice for t in theorem_registry()}
+    lists = [
+        (theorems._ci_coidempotent_ideals, gates["T03"]),
+        (theorems._pair_ideals, gates["T03"]),
+        (theorems._t16_ideals, gates["T16"]),
+        (theorems._t19_ideals, gates["T19"]),
+    ]
+    lists += [(predicates._lattice_witness_ideals(prop), None) for prop in predicates._WITNESS_IDEALS]
+    sets = {}
+    for inst in generate_corpus(SMALL):
+        sets.setdefault(inst.module, []).append(inst.multset)
+    misses = hits = 0
+    for m, multsets_of_m in sets.items():
+        size = len(lattice.enumerate_submodules(m))
+        for ideals_of, gate in lists:
+            if gate is not None and size > gate:
+                continue
+            pairs = list(ideals_of(m))
+            for s in multsets_of_m:
+                scan = next((label for label, w in pairs if meets_ideal(s, w) is None), None)
+                assert predicates.first_miss(s, ideals_of, m) == scan, (m, str(s))
+                misses += scan is not None
+                hits += scan is None
+    assert misses and hits
+
+
+def test_t03_t19_violations_match_scan_oracles(monkeypatch, request):
+    # the corpus never violates T03 or T19, so T03's fully side and T19's
+    # hypothesis are forced to "hold" on modules where they do not; T19 holds
+    # for every S (finite abelian groups are self-dual), so its torsion test
+    # is also forced to pass every pair of ideals, in both routes, and the
+    # per-module intersections built meanwhile are dropped afterwards
+    monkeypatch.setattr(theorems, "_fully", lambda prop, m, s: Verdict(True))
+    monkeypatch.setattr(theorems, "_comult", lambda m, s: Verdict(True))
+    for mod in (theorems, oracles):
+        monkeypatch.setattr(mod, "sub_leq", lambda n, k: True)
+    predicates.meet_of.cache_clear()
+    request.addfinalizer(predicates.meet_of.cache_clear)
+    for theorem_id, body, oracle in (
+        ("T03", theorems._t03, t03_by_scans),
+        ("T19", theorems._t19, t19_by_scans),
+    ):
+        violations = 0
+        for inst in _gated(theorem_id):
+            outcome = body(inst)
+            assert outcome == oracle(inst), (theorem_id, inst.label)
+            violations += outcome[0] == "violation"
+        assert violations > 0, theorem_id
+
+
+def _patterned(name: str):
+    """A stand-in verdict that holds or fails by a sha256 of its arguments."""
+
+    def verdict(*args):
+        digest = hashlib.sha256("|".join(map(str, (name, *args))).encode()).hexdigest()
+        holds = int(digest, 16) % 3 != 0
+        return Verdict(holds, counterexample=None if holds else f"{name}-{digest[:8]}")
+
+    return verdict
+
+
+def test_one_way_laws_match_case_by_case_oracles(monkeypatch):
+    """`theorems._implications` against the hand-written bookkeeping, with
+    every module-level verdict the five laws read holding or failing by a
+    fixed pattern, so that each law meets each of its cases."""
+    for name in ("_fully", "_comult", "_mult", "_semisimple"):
+        monkeypatch.setattr(theorems, name, _patterned(name))
+    laws = {
+        "T01": (theorems._t01, t01_by_cases),
+        "T02": (theorems._t02, t02_by_cases),
+        "T04": (theorems._t04, t04_by_cases),
+        "T15": (theorems._t15, t15_by_cases),
+        "T18": (theorems._t18, t18_by_cases),
+    }
+    violations = dict.fromkeys(laws, 0)
+    for inst in generate_corpus(SMALL):
+        for theorem_id, (body, oracle) in laws.items():
+            outcome = body(inst)
+            assert outcome == oracle(inst), (theorem_id, inst.label)
+            violations[theorem_id] += outcome[0] == "violation"
+    assert all(violations.values()), violations
 
 
 def test_reproduce_examples_all_pass():
