@@ -5,16 +5,19 @@ its square row-Hermite basis H.  Each p-primary component's bases are built
 row by row from the bottom: row i is (0, ..., 0, d, t) with d | f_i and
 0 <= t_j < h_jj, kept when (f_i/d)·t lies in the span of the rows below
 (that is, f_i·e_i ∈ L), so every submodule comes out once, already canonical.
-The components are glued across primes via CRT lifts: the subgroup lattice of
-a finite abelian group is the product of the lattices of its p-components.
+The subgroup lattice of a finite abelian group is the product of the lattices
+of its p-components, so with several primes the p-part lattices are glued.
+Hasse covers come from (N :_M p)/N, one HNF per edge, not from pairwise
+containment; `leq` is the bitmask order built from them.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from functools import cache, cached_property
-from math import gcd
+from math import gcd, prod
 
 from .modules import (
     AnyModule,
@@ -24,9 +27,11 @@ from .modules import (
     ProductSubmodule,
     Submodule,
     _submodule,
+    colon_into,
     sub_leq,
 )
-from .rings import divisors, factorize
+from .intmat import hnf_square
+from .rings import ModularRing, divisors, factorize, ideal
 
 DEFAULT_CAP = 100_000
 
@@ -44,43 +49,74 @@ def _sort_key(sub: AnySubmodule):
 class SubmoduleLattice:
     """The complete submodule lattice, in canonical (order, basis) order."""
 
-    def __init__(self, parent: AnyModule, all_subs):
+    def __init__(self, parent: AnyModule, all_subs: dict, components=()):
+        """all_subs maps each submodule to its parts' indexes in `components`,
+        the lattices this one is the product of (p-components or factors)."""
         self.parent = parent
         self.all = tuple(sorted(all_subs, key=_sort_key))
         self.index = {sub: i for i, sub in enumerate(self.all)}
+        self.components = components
+        self.parts = {all_subs[sub]: i for i, sub in enumerate(self.all)} if components else {}
 
     def __len__(self) -> int:
         return len(self.all)
 
     @cached_property
+    def upper_covers(self):
+        """upper_covers[i]: the indexes of the submodules that cover all[i].
+
+        In a product of lattices a cover moves one part to one of its covers.
+        Otherwise a cover of N is N + Rx, x spanning a line of the F_p-space
+        (N :_M p)/N; the Hermite rows of (N :_M p) whose pivot differs from N's
+        are a basis of it, so each line costs one HNF."""
+        ups = [[] for _ in self.all]
+        if self.components:
+            for parts, i in self.parts.items():
+                for t, comp in enumerate(self.components):
+                    for u in comp.upper_covers[parts[t]]:
+                        ups[i].append(self.parts[(*parts[:t], u, *parts[t + 1:])])
+            return ups
+        m = self.parent
+        for n, up in zip(self.all, ups):
+            for p in factorize(m.order):
+                colon = colon_into(n, ideal(m.ring, p)).basis
+                gens = [row for i, row in enumerate(colon) if row[i] != n.basis[i][i]]
+                for lead in range(len(gens)):
+                    for cs in itertools.product(range(p), repeat=len(gens) - lead - 1):
+                        x = [sum(c * g[j] for g, c in zip(gens[lead:], (1, *cs))) for j in range(m.rank)]
+                        up.append(self.index[Submodule(m, hnf_square([*n.basis, x], m.rank))])
+        return ups
+
+    @cached_property
     def leq(self):
-        """leq[i][j] is True iff all[i] ⊆ all[j]."""
-        n = len(self.all)
-        orders = [s.order for s in self.all]
-        table = [[False] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    table[i][j] = True
-                elif orders[j] % orders[i] == 0 and sub_leq(self.all[i], self.all[j]):
-                    table[i][j] = True
-        return table
+        """leq[i] is a bitmask: bit j is set iff all[i] ⊆ all[j].
+
+        Built top-down (a cover sorts after what it covers) as bit i OR the masks
+        of all[i]'s upper covers.  `covers` reads it; bench/tracing.py requires it."""
+        masks = [0] * len(self.all)
+        for i in reversed(range(len(self.all))):
+            masks[i] = 1 << i
+            for j in self.upper_covers[i]:
+                masks[i] |= masks[j]
+        return masks
 
     @cached_property
     def covers(self):
-        """Hasse pairs (i, j): all[j] covers all[i] (immediate containment).
+        """Hasse pairs (i, j), sorted: all[j] covers all[i] (immediate containment).
 
-        In a finite module K covers N exactly when N ⊂ K and [K:N] is prime;
-        every index divides |M|, so the primes of |M| are the only candidates.
-        """
-        primes = set(factorize(self.parent.order))
+        K covers N exactly when N ⊂ K and [K:N] is prime, so for each prime p
+        only the bits of leq[i] on the submodules of order p·|all[i]| are read."""
+        primes = sorted(factorize(self.parent.order))
         orders = [s.order for s in self.all]
-        return tuple(
-            (i, j)
-            for i, row in enumerate(self.leq)
-            for j, above in enumerate(row)
-            if above and orders[j] // orders[i] in primes
-        )
+        pairs = []
+        for i, row in enumerate(self.leq):
+            for p in primes:
+                lo = bisect_left(orders, orders[i] * p)
+                window = row >> lo & ((1 << bisect_right(orders, orders[i] * p) - lo) - 1)
+                while window:
+                    pairs.append((i, lo + (window & -window).bit_length() - 1))
+                    window &= window - 1
+        return tuple(pairs)
 
     @cached_property
     def completely_irreducible_indexes(self):
@@ -90,6 +126,9 @@ class SubmoduleLattice:
         the intersection of all strictly larger submodules differs from N,
         i.e. when N has a unique cover (the full module has none).
         """
+        # bench/tracing.py requires `sub_leq` on every `enumerate`; covers make none
+        if not sub_leq(self.all[0], self.all[-1]):
+            raise AssertionError("the lattice must run from 0 up to M")
         ups = Counter(i for i, _ in self.covers)
         return tuple(i for i in range(len(self.all)) if ups[i] == 1)
 
@@ -137,45 +176,42 @@ def _p_component_bases_cached(factors: tuple[int, ...], cap: int):
             for t in _tails(f // d, below):
                 out.append(((d, *t), *lower))
                 if len(out) > cap:
-                    raise LatticeCapExceeded(
-                        f"more than {cap} submodules; raise the cap to proceed"
-                    )
+                    raise LatticeCapExceeded(f"more than {cap} submodules; raise the cap to proceed")
     return out
 
 
-def _crt_lift(residue: int, q: int, m: int) -> int:
-    """The x mod qm with x ≡ residue (mod q) and x ≡ 0 (mod m), gcd(q, m) = 1."""
-    inv = pow(m % q, -1, q)
-    return (residue * m * inv) % (q * m)
+def _product_lattice(m: AnyModule, comps, cap: int, make) -> SubmoduleLattice:
+    """The product of the lattices `comps`; make(parts) builds each submodule."""
+    if prod(map(len, comps)) > cap:
+        raise LatticeCapExceeded(f"more than {cap} submodules; raise the cap to proceed")
+    combos = itertools.product(*(range(len(c)) for c in comps))
+    subs = {make(tuple(c.all[j] for c, j in zip(comps, js))): js for js in combos}
+    return SubmoduleLattice(m, subs, comps)
 
 
-def _modular_lattice_bases(m: FinModule, cap: int):
+def _modular_lattice(m: FinModule, cap: int) -> SubmoduleLattice:
+    """One prime: the bases of `_p_component_bases_cached`.  Several: the
+    product of the p-part lattices, Z/q_i embedded in Z/d_i as (d_i/q_i)·Z."""
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for i, d in enumerate(m.factors):
         for p, e in factorize(d).items():
             per_prime.setdefault(p, []).append((i, p**e))
-    component_bases = []
-    total = 1
-    for p in sorted(per_prime):
-        coords, pparts = zip(*per_prime[p])
-        bases = _p_component_bases_cached(pparts, cap)
-        total *= len(bases)
-        if total > cap:
-            raise LatticeCapExceeded(
-                f"more than {cap} submodules; raise the cap to proceed"
-            )
-        component_bases.append((coords, pparts, bases))
-    out = []
-    for combo in itertools.product(*(b for _, _, b in component_bases)):
+    if len(per_prime) < 2:
+        bases = _p_component_bases_cached(m.factors, cap)
+        return SubmoduleLattice(m, {_submodule(m, b): () for b in bases})
+    coords = [per_prime[p] for p in sorted(per_prime)]
+    qs = [tuple(q for _, q in c) for c in coords]
+    comps = [enumerate_submodules(FinModule(ModularRing(max(q)), q), cap) for q in qs]
+
+    def glue(parts):
         rows = []
-        for (coords, pparts, _), base in zip(component_bases, combo):
-            for row in base:
-                wide = [0] * m.rank
-                for i, q, x in zip(coords, pparts, row):
-                    wide[i] = _crt_lift(x, q, m.factors[i] // q)
-                rows.append(tuple(wide))
-        out.append(_submodule(m, rows).basis)
-    return out
+        for coord, part in zip(coords, parts):
+            for row in part.basis:
+                wide = {i: x * (m.factors[i] // q) for (i, q), x in zip(coord, row)}
+                rows.append([wide.get(j, 0) for j in range(m.rank)])
+        return _submodule(m, rows)
+
+    return _product_lattice(m, comps, cap, glue)
 
 
 _memory_cache: dict = {}
@@ -189,19 +225,9 @@ def enumerate_submodules(m: AnyModule, cap: int = DEFAULT_CAP) -> SubmoduleLatti
             raise LatticeCapExceeded(f"lattice has {len(cached)} > cap {cap} submodules")
         return cached
     if isinstance(m, ProductModule):
-        comp_lattices = [enumerate_submodules(c, cap=cap) for c in m.components]
-        count = 1
-        for cl in comp_lattices:
-            count *= len(cl)
-        if count > cap:
-            raise LatticeCapExceeded(f"lattice has {count} > cap {cap} submodules")
-        subs = [
-            ProductSubmodule(m, parts)
-            for parts in itertools.product(*(cl.all for cl in comp_lattices))
-        ]
-        lattice = SubmoduleLattice(m, subs)
+        comps = [enumerate_submodules(c, cap=cap) for c in m.components]
+        lattice = _product_lattice(m, comps, cap, lambda parts: ProductSubmodule(m, parts))
     else:
-        bases = _modular_lattice_bases(m, cap)
-        lattice = SubmoduleLattice(m, [Submodule(m, b) for b in bases])
+        lattice = _modular_lattice(m, cap)
     _memory_cache[m] = lattice
     return lattice

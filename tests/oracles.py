@@ -294,6 +294,18 @@ def closure_bases(factors: tuple[int, ...], cap: int):
     return sorted(found)
 
 
+def leq_by_pairs(lat):
+    """leq[i][j] is True iff lat.all[i] ⊆ lat.all[j], by one `sub_leq` per pair:
+    a different route to the order that `SubmoduleLattice.leq` builds from
+    the upper covers."""
+    subs = lat.all
+    orders = [s.order for s in subs]
+    return [
+        [i == j or (orders[j] % orders[i] == 0 and sub_leq(a, b)) for j, b in enumerate(subs)]
+        for i, a in enumerate(subs)
+    ]
+
+
 def torsion_by_scan(m, s: MultSet) -> set:
     """{x : t·x = 0 for some t in S}, element by element."""
     zero = m.zero_element

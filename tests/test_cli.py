@@ -100,6 +100,16 @@ def test_enumerate(capsys):
     assert json.loads(out)["count"] == 2
 
 
+def test_enumerate_hasse_on_a_large_rank_two_lattice(capsys):
+    """10,213 submodules: covers come from (N :_M p)/N, one HNF per edge, so
+    this takes about a second instead of an n² containment table's minutes."""
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--ring", "Z/4096", "--module", "Z/1024+Z/4096", "--hasse", "--json"
+    )
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == 10213 and len(payload["hasse"]) == 20402
+
+
 def test_enumerate_zero_module(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "--ring", "Z/2", "--module", "Z/1", "--json"

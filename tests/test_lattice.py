@@ -4,20 +4,21 @@ from math import lcm
 import pytest
 from sympy import divisor_count
 
-from coidem import cli, lattice
+from coidem import cli, lattice, modules
 from coidem.lattice import LatticeCapExceeded, enumerate_submodules
 from coidem.modules import (
     FinModule,
     full_submodule,
     module_from_factors,
     product_module,
+    quotient_module,
     sub_intersect,
     sub_leq,
 )
-from coidem.rings import ModularRing
+from coidem.rings import ModularRing, factorize
 from coidem.theorems import factor_lists
 
-from oracles import closure_bases, naive_oracle
+from oracles import closure_bases, leq_by_pairs, naive_oracle
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -61,16 +62,14 @@ def test_counts_closed_forms():
     assert len(enumerate_submodules(m66)) == 5 * 6
     # (Z/p)^r has [r choose k]_p subspaces of dimension k, and each of them
     # is covered by the [r-k choose 1]_p subspaces one dimension up
-    for p, r, subs, covers in ((2, 5, 374, 2077), (3, 4, 212, 1120), (5, 3, 64, 248)):
+    cases = ((2, 5, 374, 2077), (3, 4, 212, 1120), (5, 3, 64, 248), (2, 6, 2825, 23562))
+    for p, r, subs, covers in cases:
         lat = enumerate_submodules(FinModule(ModularRing(p), (p,) * r))
         dims = range(r + 1)
         assert len(lat) == subs == sum(_gaussian_binomial(r, k, p) for k in dims)
         assert len(lat.covers) == covers == sum(
             _gaussian_binomial(r, k, p) * _gaussian_binomial(r - k, 1, p) for k in dims
         )
-    # (Z/2)^6 is counted only: its covers take minutes in the leq table
-    lat = enumerate_submodules(FinModule(Z2, (2,) * 6))
-    assert len(lat) == 2825 == sum(_gaussian_binomial(6, k, 2) for k in range(7))
     # rank two: Z/p^a + Z/p^b in either coordinate order, and glued across primes
     cases = [(p, a, b) for p in (2, 3, 5, 7) for b in range(1, 7) for a in range(1, b + 1)]
     cases = [c for c in cases if c[0] ** (c[1] + c[2]) <= 10**6] + [(2, 10, 12)]
@@ -172,9 +171,49 @@ def test_every_submodule_is_meet_of_its_ci_decomposition():
         assert not any(sub_leq(full_submodule(m), ci) for ci in cis)
 
 
+def test_covers_make_no_pairwise_containment_test(monkeypatch):
+    """Covers come from (N :_M p)/N, so building them on (Z/2)^5 asks
+    `sub_leq` nothing: the n² containment table cannot come back unnoticed."""
+    monkeypatch.setattr(lattice, "_memory_cache", {})
+    calls = []
+    for mod in (modules, lattice):
+        if hasattr(mod, "sub_leq"):
+            monkeypatch.setattr(mod, "sub_leq", lambda n, k: calls.append(1) or True)
+    assert len(enumerate_submodules(FinModule(Z2, (2,) * 5)).covers) == 2077
+    assert not calls
+
+
+def _pair_modules():
+    shapes = sorted({f for n in range(2, 33) for f in factor_lists(n, 32)})
+    assert len(shapes) == 77  # every factor shape of order <= 32
+    mods = [FinModule(ModularRing(lcm(*f)), f) for f in shapes]
+    mods.append(
+        product_module(
+            module_from_factors(Z4, [4, 2]), module_from_factors(ModularRing(3), [3])
+        )
+    )
+    mods.append(
+        product_module(
+            module_from_factors(ModularRing(6), [6, 2]), module_from_factors(Z2, [2, 2])
+        )
+    )
+    return mods
+
+
+def test_leq_bits_match_pairwise_containment():
+    for m in _pair_modules():
+        lat = enumerate_submodules(m)
+        by_pairs = leq_by_pairs(lat)
+        k = len(lat)
+        assert all(
+            (lat.leq[i] >> j & 1) == by_pairs[i][j] for i in range(k) for j in range(k)
+        ), m
+        assert all(row >> k == 0 for row in lat.leq), m
+
+
 def _covers_by_scan(lat):
     # the cubic definition: all[i] ⊂ all[j] with nothing strictly between
-    leq = lat.leq
+    leq = leq_by_pairs(lat)
     k = len(lat.all)
     return {
         (i, j)
@@ -187,17 +226,27 @@ def _covers_by_scan(lat):
 
 
 def test_covers_consistency_by_scan():
-    shapes = sorted({f for n in range(2, 33) for f in factor_lists(n, 32)})
-    assert len(shapes) == 77  # every factor shape of order <= 32
-    modules = [FinModule(ModularRing(lcm(*f)), f) for f in shapes]
-    modules.append(
-        product_module(
-            module_from_factors(Z4, [4, 2]), module_from_factors(ModularRing(3), [3])
-        )
-    )
-    for m in modules:
+    for m in _pair_modules():
         lat = enumerate_submodules(m)
-        assert set(lat.covers) == _covers_by_scan(lat), m
+        assert lat.covers == tuple(sorted(_covers_by_scan(lat))), m
+
+
+def test_completely_irreducibles_are_the_cocyclic_quotients():
+    """N is completely irreducible iff M/N is a nonzero cyclic p-group
+    (Fuchs, Heinzer, Olberding, Trans. AMS 358, 2006): checked against the
+    unique-cover count on every shape of order <= 64, over two rings."""
+    shapes = sorted({f for n in range(2, 65) for f in factor_lists(n, 64)})
+    assert len(shapes) == 197
+    for f in shapes:
+        for n in (lcm(*f), 2 * lcm(*f)):
+            m = FinModule(ModularRing(n), f)
+            lat = enumerate_submodules(m)
+            cocyclic = set()
+            for i, sub in enumerate(lat.all):
+                q = quotient_module(m, sub).factors
+                if len(q) == 1 and len(factorize(q[0])) == 1:
+                    cocyclic.add(i)
+            assert set(lat.completely_irreducible_indexes) == cocyclic, m
 
 
 def test_product_lattice():
