@@ -21,6 +21,7 @@ from .lattice import LatticeCapExceeded, enumerate_submodules
 from .modules import ZModule
 from .multsets import MultSetTooLarge
 from .predicates import (
+    POINTWISE_PROPERTIES,
     Verdict,
     coidempotent,
     comultiplication,
@@ -44,17 +45,27 @@ from .theorems import (
     verify_all,
 )
 
-POINTWISE = ("coidempotent", "idempotent", "pure", "copure", "direct-summand", "finite")
-MODULE_LEVEL = (
-    "comultiplication",
-    "multiplication",
-    "semisimple",
-    "noetherian",
-    "fully-coidempotent",
-    "fully-idempotent",
-    "fully-pure",
-    "fully-copure",
-)
+# property -> (reads --sub, decide(module, submodule, S, parsed args)), in listing order
+DECIDE = {
+    "coidempotent": (True, lambda m, n, s, a: coidempotent(m, n, s)),
+    "idempotent": (True, lambda m, n, s, a: idempotent(m, n, s)),
+    "pure": (True, lambda m, n, s, a: pure(m, n, s)),
+    "copure": (True, lambda m, n, s, a: copure(m, n, s)),
+    "direct-summand": (True, lambda m, n, s, a: direct_summand(m, n, s, strict_ds=a.strict_ds)),
+    "finite": (True, lambda m, n, s, a: s_finite(m, n, s)),
+    "comultiplication": (
+        False, lambda m, n, s, a: comultiplication(m, s, uniform=a.uniform_witness)
+    ),
+    "multiplication": (False, lambda m, n, s, a: multiplication(m, s, uniform=a.uniform_witness)),
+    "semisimple": (False, lambda m, n, s, a: semisimple(m, s, strict_ds=a.strict_ds)),
+    "noetherian": (False, lambda m, n, s, a: s_noetherian(m, s)),
+    **{
+        f"fully-{p}": (False, lambda m, n, s, a, p=p: fully(p, m, s, uniform=a.uniform_witness))
+        for p in POINTWISE_PROPERTIES
+    },
+}
+POINTWISE = tuple(prop for prop, (reads_sub, _) in DECIDE.items() if reads_sub)
+MODULE_LEVEL = tuple(prop for prop, (reads_sub, _) in DECIDE.items() if not reads_sub)
 VALID_PROPERTIES = POINTWISE + MODULE_LEVEL
 Z_PROPERTIES = ("coidempotent", "fully-coidempotent", "finite", "noetherian")
 
@@ -112,34 +123,14 @@ def cmd_check(args) -> int:
         raise SpecError(
             f"over the module Z only {', '.join(Z_PROPERTIES)} are decidable"
         )
+    reads_sub, decide = DECIDE[prop]
     sub = None
-    if prop in POINTWISE:
+    if reads_sub:
         if not args.sub:
             raise SpecError(f"property {prop!r} needs --sub")
         sub = parse_submodule(module, args.sub)
     try:
-        if prop == "coidempotent":
-            verdict = coidempotent(module, sub, s)
-        elif prop == "idempotent":
-            verdict = idempotent(module, sub, s)
-        elif prop == "pure":
-            verdict = pure(module, sub, s)
-        elif prop == "copure":
-            verdict = copure(module, sub, s)
-        elif prop == "direct-summand":
-            verdict = direct_summand(module, sub, s, strict_ds=args.strict_ds)
-        elif prop == "finite":
-            verdict = s_finite(module, sub, s)
-        elif prop == "comultiplication":
-            verdict = comultiplication(module, s, uniform=args.uniform_witness)
-        elif prop == "multiplication":
-            verdict = multiplication(module, s, uniform=args.uniform_witness)
-        elif prop == "semisimple":
-            verdict = semisimple(module, s, strict_ds=args.strict_ds)
-        elif prop == "noetherian":
-            verdict = s_noetherian(module, s)
-        else:
-            verdict = fully(prop[len("fully-"):], module, s, uniform=args.uniform_witness)
+        verdict = decide(module, sub, s, args)
     except UnsupportedRingError as exc:
         raise SpecError(str(exc)) from None
     payload = {

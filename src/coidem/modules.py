@@ -169,12 +169,6 @@ class Submodule:
         covol = prod(self.basis[i][i] for i in range(len(self.basis)))
         return self.module.order // covol
 
-    def contains(self, x) -> bool:
-        return intmat.in_rowspan(self.basis, x)
-
-    def elements(self):
-        return [x for x in self.module.elements() if self.contains(x)]
-
 
 @dataclass(frozen=True)
 class ProductSubmodule:
@@ -187,12 +181,6 @@ class ProductSubmodule:
     @property
     def order(self) -> int:
         return prod(p.order for p in self.parts)
-
-    def contains(self, x) -> bool:
-        return all(p.contains(v) for p, v in zip(self.parts, x))
-
-    def elements(self):
-        return list(itertools.product(*(p.elements() for p in self.parts)))
 
 
 AnySubmodule = Submodule | ProductSubmodule

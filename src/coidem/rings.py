@@ -234,17 +234,8 @@ def element_of(ring: Ring, x):
 def ideal_from_generators(ring: Ring, gens) -> Ideal:
     norm = [element_of(ring, g) for g in gens]
     if isinstance(ring, ProductRing):
-        per = []
-        for i, comp in enumerate(ring.components):
-            g = 0
-            for e in norm:
-                g = gcd(g, e[i])
-            per.append(_canonical_generator(comp, g))
-        return Ideal(ring, tuple(per))
-    g = 0
-    for e in norm:
-        g = gcd(g, e)
-    return ideal(ring, g)
+        return ideal(ring, tuple(gcd(*(e[i] for e in norm)) for i in range(len(ring.components))))
+    return ideal(ring, gcd(*norm))
 
 
 def unit_ideal(ring: Ring) -> Ideal:

@@ -123,38 +123,20 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_tuple_list(text: str) -> list[tuple]:
-    """Parse "(a,b),(c,d)" into tuples; bare integers become 1-tuples."""
-    if not text:
-        return []
+    """Parse squashed "(a,b),(c;d)" into tuples; ';' splits a body into
+    product parts, and bare integers become 1-tuples.  Tuples do not nest."""
+    import re
+
     if "(" not in text:
         return [(v,) for v in _parse_int_list(text)]
-    items = []
-    depth = 0
-    current = ""
-    chunks = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SpecError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            chunks.append(current)
-            current = ""
-        else:
-            current += ch
-    chunks.append(current)
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise SpecError(f"expected a parenthesized tuple, got {chunk!r}")
-        body = chunk[1:-1]
-        if ";" in body:
-            items.append(tuple(tuple(_parse_int_list(p)) for p in body.split(";")))
-        else:
-            items.append(tuple(_parse_int_list(body)))
-    return items
+    if not re.fullmatch(r"\([^()]*\)(,\([^()]*\))*", text):
+        raise SpecError(f"expected parenthesized tuples like (2,0),(0,1), got {text!r}")
+    return [
+        tuple(tuple(_parse_int_list(p)) for p in body.split(";"))
+        if ";" in body
+        else tuple(_parse_int_list(body))
+        for body in re.findall(r"\(([^()]*)\)", text)
+    ]
 
 
 def _is_flat(g: tuple) -> bool:
@@ -201,15 +183,9 @@ def parse_submodule(module: AnyModule, text: str):
         raise SpecError("submodule specs look like gens:(2,0),(0,1)")
     body = squashed[len("gens:"):]
     if isinstance(module, ZModule):
-        gens = _parse_int_list(body)
-        if len(gens) > 1:
-            from math import gcd
+        from math import gcd
 
-            t = 0
-            for g in gens:
-                t = gcd(t, g)
-            return abs(t)
-        return abs(gens[0]) if gens else 0
+        return gcd(*_parse_int_list(body))
     if not body:
         return zero_submodule(module)
     if isinstance(module, ProductModule):

@@ -455,7 +455,11 @@ def _t15(inst: Instance):
 
 def _t16_ideals(m: AnyModule):
     """T16's list: ((⋂N) + K :_R ⋂(N + K)) for each K and each family of
-    one to three submodules or the whole lattice."""
+    one to three submodules or the whole lattice.  An entry is R by algebra
+    when the family has one member, or a member N₀ ⊆ K (then ⋂N ⊆ K ⊆
+    ⋂(N + K) ⊆ N₀ + K = K), as the whole lattice does with 0.  On the 44
+    modules of the `--moduli 2-10 --max-order 16` corpus with at most 12
+    submodules, 22,605 of 23,464 entries are R, 16,446 of them by this rule."""
     subs = enumerate_submodules(m).all
     # the lattice is closed under meet and join: at most n² distinct pairs each
     meet, join, colon = cache(sub_intersect), cache(sub_sum), cache(colon_ring)
@@ -508,7 +512,11 @@ def _t18(inst: Instance):
 
 
 def _t19_ideals(m: AnyModule):
-    """T19's list: (IM :_R JM) for each pair of ideals with (0 :_M I) ⊆ (0 :_M J)."""
+    """T19's list: (IM :_R JM) for each pair of ideals with (0 :_M I) ⊆ (0 :_M J).
+    Every entry is R, so the law cannot fail for any S and tests only the
+    torsion, ideal-action and colon arithmetic: a finite Z/n-module is self-dual
+    (M ≅ M^ = Hom(M, Q/Z), under which (0 :_M^ I) = (IM)^⊥), so the hypothesis
+    reads (IM)^⊥ ⊆ (JM)^⊥, i.e. JM ⊆ IM; products go component by component."""
     ideals = all_ideals(m.ring)
     torsions = {i: colon_into(zero_submodule(m), i) for i in ideals}
     actions = {i: ideal_action(i, full_submodule(m)) for i in ideals}

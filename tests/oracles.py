@@ -13,6 +13,7 @@ from coidem import theorems
 from coidem.intmat import hnf_square, in_rowspan
 from coidem.lattice import LatticeCapExceeded, enumerate_submodules
 from coidem.modules import (
+    ProductSubmodule,
     ZModule,
     annihilator,
     colon_into,
@@ -54,6 +55,7 @@ from coidem.rings import (
     unit_ideal,
     units,
 )
+from coidem.specs import SpecError, _parse_int_list
 
 
 # -- integer matrices -----------------------------------------------------------
@@ -223,6 +225,14 @@ def fully_coidempotent_z_by_kind(s) -> Verdict:
 # -- submodules as element sets ---------------------------------------------------
 
 
+def submodule_elements(n) -> list:
+    """Every element of a submodule: the module's elements in N's row span,
+    part by part over a product ring."""
+    if isinstance(n, ProductSubmodule):
+        return list(itertools.product(*map(submodule_elements, n.parts)))
+    return [x for x in n.module.elements() if in_rowspan(n.basis, x)]
+
+
 def naive_oracle(m, max_order: int = 4096):
     """Every submodule as a frozen set of elements, by raw element arithmetic.
 
@@ -385,7 +395,7 @@ def copure_witness_ideal_over_all_ideals(n):
 
 
 def _elements_of(sub) -> frozenset:
-    return frozenset(sub.elements())
+    return frozenset(submodule_elements(sub))
 
 
 def _ann_set(m, elems) -> list:
@@ -413,7 +423,7 @@ def _additive_closure(m, seed) -> frozenset:
 def witness_is_sound_by_scan(prop: str, m, n, verdict) -> bool:
     """The element-scan validator that `predicates.witness_is_sound` replaced.
 
-    Element sets are frozensets from `Submodule.elements()`, and every
+    Element sets are frozensets from `submodule_elements`, and every
     annihilator, colon and closure is a direct scan over M and R.
     """
     if not verdict.holds or m.order > 4096:
@@ -686,3 +696,42 @@ def t19_by_scans(inst):
             if meets_ideal(s, colon_ring(actions[i], actions[j])) is None:
                 return theorems._outcome(False, True, {"i": str(i), "j": str(j)})
     return theorems._outcome(True, True, {})
+
+
+# -- the spec grammar ---------------------------------------------------------------
+
+
+def parse_tuple_list_by_depth(text: str) -> list[tuple]:
+    """The parenthesis-depth scanner `specs._parse_tuple_list` replaced:
+    split at commas outside parentheses, then read each "(…)" chunk."""
+    if not text:
+        return []
+    if "(" not in text:
+        return [(v,) for v in _parse_int_list(text)]
+    items = []
+    depth = 0
+    current = ""
+    chunks = []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise SpecError(f"unbalanced parentheses in {text!r}")
+        if ch == "," and depth == 0:
+            chunks.append(current)
+            current = ""
+        else:
+            current += ch
+    chunks.append(current)
+    for chunk in chunks:
+        chunk = chunk.strip()
+        if not (chunk.startswith("(") and chunk.endswith(")")):
+            raise SpecError(f"expected a parenthesized tuple, got {chunk!r}")
+        body = chunk[1:-1]
+        if ";" in body:
+            items.append(tuple(tuple(_parse_int_list(p)) for p in body.split(";")))
+        else:
+            items.append(tuple(_parse_int_list(body)))
+    return items

@@ -32,7 +32,7 @@ from coidem.multsets import one_multset
 from coidem.rings import ModularRing, all_ideals, ideal_intersect, ideal_product
 from coidem.theorems import factor_lists, reproduce_examples
 
-from oracles import ideal_leq, naive_oracle
+from oracles import ideal_leq, naive_oracle, submodule_elements
 
 MODULI = tuple(range(2, 17))
 
@@ -120,7 +120,7 @@ def test_criterion_3_oracle_equivalence():
     for m in _modules_with_order_at_most(16):
         lat = enumerate_submodules(m)
         oracle = naive_oracle(m)
-        assert {frozenset(s.elements()) for s in lat.all} == set(oracle), m
+        assert {frozenset(submodule_elements(s)) for s in lat.all} == set(oracle), m
         checked += 1
     # closed-form counts
     for n in MODULI:
@@ -147,7 +147,7 @@ def test_criterion_3_oracle_equivalence():
         m = FinModule(ModularRing(n), factors)
         lat = enumerate_submodules(m)
         oracle = naive_oracle(m)
-        assert {frozenset(s.elements()) for s in lat.all} == set(oracle), (n, factors)
+        assert {frozenset(submodule_elements(s)) for s in lat.all} == set(oracle), (n, factors)
     _report(
         "3 (oracle equivalence)",
         True,
@@ -240,13 +240,13 @@ def test_criterion_6_classical_specialization():
         modules += 1
         one = one_multset(m.ring)
         lat = enumerate_submodules(m)
-        subgroup_sets = {frozenset(n.elements()): n for n in lat.all}
+        subgroup_sets = {frozenset(submodule_elements(n)): n for n in lat.all}
         comult_all = True
         mult_all = True
         semi_all = True
         zero = m.zero_element
         for n in lat.all:
-            n_set = frozenset(n.elements())
+            n_set = frozenset(submodule_elements(n))
             assert coidempotent(m, n, one).holds == element_oracle_classical(
                 "coidempotent", m, n_set
             )

@@ -1,3 +1,5 @@
+import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -5,8 +7,11 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
-from coidem import cli, predicates
+from coidem import cli, predicates, specs
 from coidem.cli import VALID_PROPERTIES, main
+from coidem.modules import ZModule
+from coidem.specs import SpecError, parse_module, parse_multset, parse_ring, parse_submodule
+from oracles import parse_tuple_list_by_depth
 
 
 def run_cli(capsys, *argv):
@@ -296,6 +301,60 @@ def test_product_ring_check(capsys):
     assert code == 0
 
 
+def test_property_tables_keep_their_order():
+    # the `check` benchmark picks each call's property by index into these
+    # tuples, so a reorder would change what it runs
+    assert cli.POINTWISE == (
+        "coidempotent", "idempotent", "pure", "copure", "direct-summand", "finite",
+    )
+    assert cli.MODULE_LEVEL == (
+        "comultiplication", "multiplication", "semisimple", "noetherian",
+        "fully-coidempotent", "fully-idempotent", "fully-pure", "fully-copure",
+    )
+    assert cli.VALID_PROPERTIES == cli.POINTWISE + cli.MODULE_LEVEL
+    assert cli.Z_PROPERTIES == ("coidempotent", "fully-coidempotent", "finite", "noetherian")
+
+
+def _decide_directly(prop, m, n, s, strict_ds, uniform):
+    p = predicates
+    return {
+        "coidempotent": lambda: p.coidempotent(m, n, s),
+        "idempotent": lambda: p.idempotent(m, n, s),
+        "pure": lambda: p.pure(m, n, s),
+        "copure": lambda: p.copure(m, n, s),
+        "direct-summand": lambda: p.direct_summand(m, n, s, strict_ds=strict_ds),
+        "finite": lambda: p.s_finite(m, n, s),
+        "comultiplication": lambda: p.comultiplication(m, s, uniform=uniform),
+        "multiplication": lambda: p.multiplication(m, s, uniform=uniform),
+        "semisimple": lambda: p.semisimple(m, s, strict_ds=strict_ds),
+        "noetherian": lambda: p.s_noetherian(m, s),
+        "fully-coidempotent": lambda: p.fully("coidempotent", m, s, uniform=uniform),
+        "fully-idempotent": lambda: p.fully("idempotent", m, s, uniform=uniform),
+        "fully-pure": lambda: p.fully("pure", m, s, uniform=uniform),
+        "fully-copure": lambda: p.fully("copure", m, s, uniform=uniform),
+    }[prop]()
+
+
+def test_every_decide_row_matches_its_predicate():
+    cases = (
+        ("Z/12", "Z/12", "gens:2", "comp-primes:3"),
+        ("Z/4 x Z/2", "Z/4 x Z/2", "gens:(2;1)", "fgen:(2,1)"),
+        ("Z", "Z", "gens:2", "nonzero"),
+    )
+    for ring_text, module_text, sub_text, s_text in cases:
+        ring = parse_ring(ring_text)
+        m = parse_module(ring, module_text)
+        s = parse_multset(ring, s_text)
+        props = cli.Z_PROPERTIES if isinstance(m, ZModule) else cli.VALID_PROPERTIES
+        for prop, strict_ds, uniform in itertools.product(props, (True, False), (True, False)):
+            reads_sub, decide = cli.DECIDE[prop]
+            n = parse_submodule(m, sub_text) if reads_sub else None
+            args = argparse.Namespace(strict_ds=strict_ds, uniform_witness=uniform)
+            got = cli._verdict_payload(decide(m, n, s, args))
+            want = cli._verdict_payload(_decide_directly(prop, m, n, s, strict_ds, uniform))
+            assert got == want, (module_text, prop, strict_ds, uniform)
+
+
 def test_console_entrypoint_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "coidem.cli", "reproduce-examples", "--json"],
@@ -412,3 +471,33 @@ def test_cli_never_raises(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2), argv
+
+
+# -- the generator-list grammar against the depth scanner it replaced --------
+
+
+def _parse_both(text):
+    """Both parsers on `text` squashed as every spec parser squashes it;
+    SpecError stands for a rejection, whatever its message."""
+    text = specs._squash(text)
+    out = []
+    for parse in (specs._parse_tuple_list, parse_tuple_list_by_depth):
+        try:
+            out.append(parse(text))
+        except SpecError:
+            out.append(SpecError)
+    return out
+
+
+def test_tuple_grammar_hand_cases():
+    accepted = {"()": [()], "(;)": [((), ())], "(1;2,0)": [((1,), (2, 0))], "1,2": [(1,), (2,)]}
+    for text in ("()", "(;)", "(1;2,0)", "((1))", "(1,(2))", ")(", "(1,2),", "(1,2),(3",
+                 "1),(2", "1,2"):
+        assert _parse_both(text) == [accepted.get(text, SpecError)] * 2, text
+
+
+@settings(max_examples=300)
+@given(st.lists(_TUPLES | _JUNK, max_size=3).map("".join))
+def test_tuple_grammar_matches_the_depth_scanner(text):
+    new, reference = _parse_both(text)
+    assert new == reference, text

@@ -52,6 +52,7 @@ from oracles import (
     fully_coidempotent_z_by_kind,
     pointwise_by_scan,
     pure_witness_ideal_over_all_ideals,
+    submodule_elements,
     witness_is_sound_by_scan,
 )
 
@@ -276,7 +277,7 @@ def test_classical_specialization_matches_element_oracle():
         comult_all = True
         mult_all = True
         for n in lat.all:
-            n_set = frozenset(n.elements())
+            n_set = frozenset(submodule_elements(n))
             assert coidempotent(m, n, one).holds == element_oracle_classical(
                 "coidempotent", m, n_set
             )
