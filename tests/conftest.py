@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import resource
+import sys
 from pathlib import Path
 
 import hypothesis
@@ -23,6 +24,21 @@ def bench_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    """Every process-wide cache of `coidem` emptied and the lattice memo
+    swapped for an empty one, so no layer is answered by what an earlier test
+    left behind and a run reaches the same layers in any test order."""
+    from coidem import lattice
+
+    monkeypatch.setattr(lattice, "_memory_cache", {})
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "coidem":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 @pytest.fixture

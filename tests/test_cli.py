@@ -209,11 +209,9 @@ def test_unfactorable_modulus_exits_2_fast():
         assert proc.stderr.count("\n") == 1, proc.stderr
 
 
-def test_check_reaches_every_layer_the_check_benchmark_traces(capsys, bench_tracing):
+def test_check_reaches_every_layer_the_check_benchmark_traces(capsys, cold_caches, bench_tracing):
     """A few `check` calls reach each function the benchmark's `check`
     workload must trace, so dropping one from the check path fails here."""
-    for f in predicates._WITNESS_IDEALS.values():
-        f.cache_clear()  # a cached witness ideal would skip all_ideals
     tracer = bench_tracing.Tracer()
     tracer.install()
     try:

@@ -260,12 +260,11 @@ def test_product_lattice():
 
 
 def test_enumerate_reaches_every_layer_the_lattice_benchmark_traces(
-    monkeypatch, capsys, bench_tracing
+    capsys, cold_caches, bench_tracing
 ):
     """`enumerate --hasse` calls each function the benchmark's `lattice`
     workload must trace, so dropping one from the lattice path fails here."""
     tracing = bench_tracing
-    monkeypatch.setattr(lattice, "_memory_cache", {})
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -40,7 +41,13 @@ from coidem.rings import (
 )
 from coidem.theorems import factor_lists, s_choices
 
-from oracles import ideal_leq, submodule_elements, torsion_by_scan, z_multset_contains
+from oracles import (
+    _additive_closure,
+    ideal_leq,
+    submodule_elements,
+    torsion_by_scan,
+    z_multset_contains,
+)
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -358,6 +365,52 @@ def test_product_module_ops_are_componentwise():
     assert q.order == mp.order // np.order
     lat = enumerate_submodules(mp)
     assert len(lat) == len(enumerate_submodules(ma)) * len(enumerate_submodules(mb))
+
+
+def test_memoized_operators_match_element_scans():
+    """`colon_into`, `colon_ring` and `ideal_action` are memoized; on every
+    module over Z/n of order at most 16 and two product modules, each agrees
+    with an element scan for all N, K and every ideal I, and a repeated call
+    with an equal (not identical) key returns the very object first built."""
+    products = [
+        product_module(FinModule(Z4, (2, 4)), FinModule(ModularRing(3), (3,))),
+        product_module(FinModule(Z2, (2, 2)), FinModule(ModularRing(5), (5,))),
+    ]
+    mods = [FinModule(ModularRing(n), f) for n in range(2, 17) for f in factor_lists(n, 16)]
+    assert len(mods) == 87
+    for m in mods + products:
+        ring = m.ring
+        subs = enumerate_submodules(m).all
+        elems = {n: frozenset(submodule_elements(n)) for n in subs}
+        ideal_elems = {
+            i: frozenset(ring.mul(i.data, r) for r in ring.elements()) for i in all_ideals(ring)
+        }
+        # every r·K and I·x as element sets, built once
+        scaled = {
+            k: [(r, frozenset(m.scale(r, x) for x in elems[k])) for r in ring.elements()]
+            for k in subs
+        }
+        orbits = {
+            i: [(x, frozenset(m.scale(r, x) for r in ie)) for x in m.elements()]
+            for i, ie in ideal_elems.items()
+        }
+        for n in subs:
+            in_n = elems[n]
+            twin = replace(n)
+            assert twin == n and twin is not n
+            for i, i_elems in ideal_elems.items():
+                colon = colon_into(n, i)
+                scan = frozenset(x for x, ix in orbits[i] if ix <= in_n)
+                assert elems.get(colon) == scan, (m, n, i)
+                action = ideal_action(i, n)
+                seed = frozenset().union(*(rn for r, rn in scaled[n] if r in i_elems))
+                assert elems.get(action) == _additive_closure(m, seed), (m, n, i)
+                assert colon_into(twin, i) is colon and ideal_action(i, twin) is action
+            for k in subs:
+                found = colon_ring(n, k)
+                scan = frozenset(r for r, rk in scaled[k] if rk <= in_n)
+                assert ideal_elems[found] == scan, (m, n, k)
+                assert colon_ring(twin, k) is found
 
 
 def test_z_declared_reduction_soundness():

@@ -1,9 +1,15 @@
 import hashlib
 import json
 import multiprocessing
+import sys
 
-from coidem import lattice, modules, multsets, predicates, rings, theorems
-from coidem.modules import FinModule, module_from_factors
+from coidem import lattice, modules, predicates, theorems
+from coidem.modules import (
+    FinModule,
+    ProductSubmodule,
+    module_from_factors,
+    submodule_from_generators,
+)
 from coidem.multsets import (
     MultSet,
     ZComplementOfPrimes,
@@ -12,7 +18,7 @@ from coidem.multsets import (
     reduce_presentation,
 )
 from coidem.predicates import Verdict
-from coidem.rings import ModularRing
+from coidem.rings import ModularRing, ideal
 from coidem.theorems import (
     CorpusConfig,
     Instance,
@@ -370,15 +376,10 @@ def test_verify_pool_is_capped_by_cpus_and_instances(monkeypatch):
     assert sizes == [3, 2]  # one usable CPU: no pool at all
 
 
-def test_verify_reaches_every_layer_the_harness_benchmark_traces(monkeypatch, bench_tracing):
+def test_verify_reaches_every_layer_the_harness_benchmark_traces(cold_caches, bench_tracing):
     """`verify_all` with witness validation calls each function the
     benchmark's `harness` workload must trace, so dropping one from the
     harness path fails here."""
-    monkeypatch.setattr(lattice, "_memory_cache", {})
-    for mod in (lattice, modules, multsets, predicates, rings, theorems):
-        for value in vars(mod).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()  # a warm cache would skip the layers below it
     corpus = generate_corpus(TINY)
     tracer = bench_tracing.Tracer()
     tracer.install()
@@ -390,6 +391,33 @@ def test_verify_reaches_every_layer_the_harness_benchmark_traces(monkeypatch, be
     summary = tracer.summary()
     missed = [n for n in bench_tracing.EXERCISED["harness"] if not summary.get(n, {}).get("calls")]
     assert not missed
+
+
+def test_colon_into_computes_each_canonical_key_once(monkeypatch, cold_caches):
+    """From cold caches, `verify_all` on TINY runs the body of the memoized
+    `colon_into` once per distinct (N, I) up to canonical form: a caller that
+    passes a non-canonical submodule or ideal, or a lost memo, runs it twice."""
+    cached = modules.colon_into
+
+    def canonical(n):
+        if isinstance(n, ProductSubmodule):
+            return ProductSubmodule(n.module, tuple(map(canonical, n.parts)))
+        return submodule_from_generators(n.module, n.basis)
+
+    keys = set()
+
+    def recorded(n, i):
+        keys.add((canonical(n), ideal(i.ring, i.data)))
+        return cached(n, i)
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "coidem":
+            for attr, value in list(vars(mod).items()):
+                if value is cached:
+                    monkeypatch.setattr(mod, attr, recorded)
+    report = verify_all(generate_corpus(TINY), config=TINY)
+    assert not report.violations
+    assert cached.cache_info().misses == len(keys) > 0
 
 
 # the same corpus with its 16 product instances, which TINY leaves out: their
