@@ -5,11 +5,15 @@ through integer lattices: a submodule corresponds to the preimage lattice L
 with D·Z^k ⊆ L ⊆ Z^k, D = diag(d_1, ..., d_k), stored as its unique Hermite
 basis.  Sums, intersections, ideal action, both colon operators, annihilators,
 quotients and torsion all become exact integer linear algebra; localization
-is a closed form in the maximal multiple of S (see `LocalizedModule`).  Both
-colons and `scalar_submodule` (so `ideal_action` and `annihilator`) are
-memoized, as witness ideals repeat them on a few canonical arguments.  Sums
-and intersections are not: caching them too saved 2 % of the harness time for
-+15 % peak RSS, and caching `intmat.hnf` raised the lattice run's RSS by 40 %.
+is a closed form in the maximal multiple of S (see `LocalizedModule`).
+
+R acts on M through Z/e, e = lcm(d_i), so (d) acts as (gcd(d, e)).  Both colons
+and `scalar_submodule` (hence `ideal_action` and `annihilator`) are memoized
+on integer keys that a module shape shares over every ring: (factors, basis
+of N, gcd(d, e)), (basis of N, basis of K) and (gcd(s, e), factors, basis of
+N); callers get a `Submodule` or `Ideal` built around the stored value.  Sums
+and intersections are not: that saved 2 % of the harness time for +15 % peak
+RSS, and caching `intmat.hnf` raised the lattice run's RSS by 40 %.
 
 Over a product ring a module is a tuple of component modules and every
 submodule decomposes componentwise, so the operators act coordinatewise.
@@ -266,49 +270,61 @@ def ideal_action(i: Ideal, n: AnySubmodule) -> AnySubmodule:
     return scalar_submodule(i.data, n)
 
 
-@cache
 def scalar_submodule(s, n: AnySubmodule) -> AnySubmodule:
     """The submodule sN for a ring element s."""
     if isinstance(n, ProductSubmodule):
         comps = tuple(scalar_submodule(si, part) for si, part in zip(s, n.parts))
         return ProductSubmodule(n.module, comps)
-    rows = [tuple(s * v for v in row) for row in n.basis]
-    return _submodule(n.module, rows)
+    m = n.module
+    return Submodule(m, _scaled_basis(gcd(s, lcm(*m.factors)), m.factors, n.basis))
 
 
 @cache
+def _scaled_basis(g: int, factors, basis) -> Matrix:
+    """sN with g = gcd(s, e): sN = (s)N, and (s) acts on M as (g) does."""
+    rows = [tuple(g * v for v in row) for row in basis]
+    return intmat.hnf_square([*rows, *intmat.diagonal(factors)], len(factors))
+
+
 def colon_into(n: AnySubmodule, i: Ideal) -> AnySubmodule:
     """(N :_M I) = {m : Im ⊆ N}; for I = (d) this is {x : d·x ∈ L_N}."""
     _check_ideal_ring(i, n.module)
     if isinstance(n, ProductSubmodule):
         comps = tuple(
-            colon_into(part, ideal(part.module.ring, i.data[t]))
-            for t, part in enumerate(n.parts)
+            colon_into(part, ideal(part.module.ring, d)) for part, d in zip(n.parts, i.data)
         )
         return ProductSubmodule(n.module, comps)
     m = n.module
-    d = i.data
-    if d == 1:
-        return n
-    scaled = intmat.lattice_intersect(intmat.diagonal([d] * m.rank), n.basis, m.rank)
-    rows = [tuple(v // d for v in row) for row in scaled]
-    return _submodule(m, rows)
+    return Submodule(m, _colon_basis(m.factors, n.basis, gcd(i.data, lcm(*m.factors))))
 
 
 @cache
+def _colon_basis(factors, basis, d: int) -> Matrix:
+    """(N :_M (d)) with d = gcd(d, e), the generator that acts on M as (d) does."""
+    if d == 1:
+        return basis
+    k = len(factors)
+    scaled = intmat.lattice_intersect(intmat.diagonal([d] * k), basis, k)
+    rows = [tuple(v // d for v in row) for row in scaled]
+    return intmat.hnf_square([*rows, *intmat.diagonal(factors)], k)
+
+
 def colon_ring(n: AnySubmodule, k: AnySubmodule) -> Ideal:
     """(N :_R K) = {r : rK ⊆ N}, canonical generator per coordinate."""
     _require_same_parent(n, k)
     if isinstance(n, ProductSubmodule):
         data = tuple(colon_ring(a, b).data for a, b in zip(n.parts, k.parts))
         return ideal(n.module.ring, data)
-    m = n.module
-    c = 1
-    for row in k.basis:
-        c = lcm(c, intmat.multiple_order(n.basis, row))
-    if m.ring.n % c:
+    c = _colon_generator(n.basis, k.basis)
+    if n.module.ring.n % c:
         raise AssertionError("colon generator must divide the characteristic")
-    return ideal(m.ring, c)
+    return ideal(n.module.ring, c)
+
+
+@cache
+def _colon_generator(n_basis, k_basis) -> int:
+    """The least c with cK ⊆ N, a divisor of e (it kills M)."""
+    return lcm(*(intmat.multiple_order(n_basis, row) for row in k_basis))
 
 
 def annihilator(n: AnySubmodule) -> Ideal:

@@ -22,25 +22,36 @@ component, and an I that is the whole ring off one part leaves the colon
 whole there, so the intersection over every I equals the one over the I that
 are (p^j) in one component and the whole ring in the others.
 
+R acts on M = ⊕ Z/d_i through Z/e = R/Ann_R(M), e = lcm(d_i), and each W(N)
+contains (e): it is the preimage of W(N) over Z/e.  So each is computed once
+on N re-based onto Z/e (per component over a product; the zero module keeps
+its ring), and re-tagged over R as `ideal(ring, c)`, where c divides e, hence
+n, and the zero ideal (e) of Z/e pulls back to (e), not to 0.
+
 The classical notions are exactly the S = {1} cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce, wraps
+from operator import and_, or_
 
 from .lattice import enumerate_submodules
 from .modules import (
     AnyModule,
     AnySubmodule,
+    FinModule,
     ProductSubmodule,
+    Submodule,
     ZModule,
     annihilator,
     colon_into,
     colon_ring,
     full_submodule,
     ideal_action,
+    module_from_factors,
+    product_module,
     sub_intersect,
     sub_leq,
     sub_sum,
@@ -98,17 +109,44 @@ def resolve_multset(m: AnyModule, s: AnyMultSet) -> AnyMultSet:
     return reduce_presentation(s, m.ring)
 
 
-# -- witness ideals (cached per submodule; independent of S) -----------------
+# -- witness ideals (cached per submodule over Z/e; independent of S) ---------
 
 
 @cache
+def _exponent_module(factors: tuple) -> FinModule:
+    return module_from_factors(IntegerRing(), factors)
+
+
+def _rebased(n: AnySubmodule) -> AnySubmodule:
+    """N in its module re-based onto Z/e; the zero module keeps its ring."""
+    if isinstance(n, ProductSubmodule):
+        parts = tuple(map(_rebased, n.parts))
+        return ProductSubmodule(product_module(*(p.module for p in parts)), parts)
+    factors = n.module.factors
+    return Submodule(_exponent_module(factors), n.basis) if factors else n
+
+
+def _over_exponent_ring(body):
+    """`body` as a cached witness ideal: computed on N re-based onto Z/e and
+    re-tagged over N's ring, so each module shape fills one entry."""
+
+    @cache
+    @wraps(body)
+    def witness_ideal(n: AnySubmodule) -> Ideal:
+        base = _rebased(n)
+        return body(n) if base == n else ideal(n.module.ring, witness_ideal(base).data)
+
+    return witness_ideal
+
+
+@_over_exponent_ring
 def coidempotent_witness_ideal(n: AnySubmodule) -> Ideal:
     ann = annihilator(n)
     torsion = colon_into(zero_submodule(n.module), ideal_product(ann, ann))
     return colon_ring(n, torsion)
 
 
-@cache
+@_over_exponent_ring
 def idempotent_witness_ideal(n: AnySubmodule) -> Ideal:
     m = full_submodule(n.module)
     c = colon_ring(n, m)
@@ -123,7 +161,7 @@ def _primary(i: Ideal) -> bool:
     return len(proper) == 1 and len(factorize(proper[0])) == 1
 
 
-@cache
+@_over_exponent_ring
 def pure_witness_ideal(n: AnySubmodule) -> Ideal:
     ring, m = n.module.ring, full_submodule(n.module)
     primaries = filter(_primary, all_ideals(ring))
@@ -133,7 +171,7 @@ def pure_witness_ideal(n: AnySubmodule) -> Ideal:
     )
 
 
-@cache
+@_over_exponent_ring
 def copure_witness_ideal(n: AnySubmodule) -> Ideal:
     ring, zero = n.module.ring, zero_submodule(n.module)
     primaries = filter(_primary, all_ideals(ring))
@@ -142,13 +180,13 @@ def copure_witness_ideal(n: AnySubmodule) -> Ideal:
     )
 
 
-@cache
+@_over_exponent_ring
 def comultiplication_witness_ideal(n: AnySubmodule) -> Ideal:
     torsion = colon_into(zero_submodule(n.module), annihilator(n))
     return colon_ring(n, torsion)
 
 
-@cache
+@_over_exponent_ring
 def multiplication_witness_ideal(n: AnySubmodule) -> Ideal:
     m = full_submodule(n.module)
     target = ideal_action(colon_ring(n, m), m)
@@ -375,7 +413,10 @@ def fully_coidempotent_z(s: ZMultSet) -> Verdict:
 # The validator re-decides a certificate on element sets, without `intmat` or
 # the Hermite forms: a set of elements of M is a Python int whose bit i stands
 # for the i-th element of `m.elements()`, and every submodule, annihilator and
-# colon is rebuilt from the module's own `add` and `scale`.
+# colon is rebuilt from the module's own `add` and `scale`.  It works over the
+# instance's own ring (every r and every ideal of R), so it checks the witness
+# ideals' exponent-ring route instead of repeating it.  The sets that involve
+# no s are kept per (property, M, N), IM and (0 :_M I) per (M, I).
 
 
 @dataclass(frozen=True)
@@ -411,10 +452,7 @@ def _element_table(m: AnyModule) -> _ElementTable:
 
 
 def _mask_union(masks) -> int:
-    out = 0
-    for x in masks:
-        out |= x
-    return out
+    return reduce(or_, masks, 0)
 
 
 def _mask(indexes) -> int:
@@ -425,10 +463,6 @@ def _bits(mask: int) -> list:
     return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
-def _image(row, mask: int) -> int:
-    return _mask(row[i] for i in _bits(mask))
-
-
 def _maps_into(row, mask: int, target: int) -> bool:
     """r·X ⊆ Y, with `row` the image row of r."""
     return all(target >> row[i] & 1 for i in _bits(mask))
@@ -436,19 +470,11 @@ def _maps_into(row, mask: int, target: int) -> bool:
 
 def _killed_by(t: _ElementTable, elems) -> int:
     """(0 :_M I) for the ring elements of I."""
-    out = (1 << len(t.elements)) - 1
-    for r in elems:
-        out &= t.kill[r]
-    return out
+    return reduce(and_, (t.kill[r] for r in elems), (1 << len(t.elements)) - 1)
 
 
 def _ann(t: _ElementTable, mask: int) -> list:
     return [r for r in t.ring if not mask & ~t.kill[r]]
-
-
-def _colon(t: _ElementTable, mask: int) -> list:
-    """(N :_R M): the ring elements r with rM ⊆ N."""
-    return [r for r in t.ring if not t.rm[r] & ~mask]
 
 
 def _products(ring, elems) -> set:
@@ -497,57 +523,62 @@ def _reduce(m, row) -> tuple:
 
 
 @cache
+def _ideal_masks(m: AnyModule, i: Ideal) -> tuple[list, int, int]:
+    """I's ring elements, IM and (0 :_M I)."""
+    t = _element_table(m)
+    i_elems = [r for r in t.ring if ideal_contains(i, r)]
+    im = _additive_closure(m, t, _mask_union(t.rm[a] for a in i_elems))
+    return i_elems, im, _killed_by(t, i_elems)
+
+
+@cache
+def _certificate_pairs(prop: str, m: AnyModule, n: AnySubmodule) -> tuple | None:
+    """Pairs (X, Y) of element sets such that s certifies `prop` at N exactly
+    when s·X ⊆ Y for each, or None when an inclusion without s fails."""
+    t, ring, n_set = _element_table(m), m.ring, _submodule_mask(n)
+    if prop == "coidempotent":
+        return ((_killed_by(t, _products(ring, _ann(t, n_set))), n_set),)
+    if prop == "comultiplication":
+        x = _killed_by(t, _ann(t, n_set))
+        return None if n_set & ~x else ((x, n_set),)
+    if prop in ("idempotent", "multiplication"):
+        c = [r for r in t.ring if not t.rm[r] & ~n_set]  # (N :_R M)
+        if prop == "idempotent":
+            c = _products(ring, c)
+        target = _additive_closure(m, t, _mask_union(t.rm[r] for r in c))
+        return None if target & ~n_set else ((n_set, target),)
+    if prop not in ("pure", "copure"):
+        raise ValueError(f"no validator for {prop!r}")
+    pairs = []
+    for i in all_ideals(ring):
+        i_elems, im, killed = _ideal_masks(m, i)
+        if prop == "pure":  # s(N ∩ IM) ⊆ IN
+            i_n = _mask(t.image[a][y] for a in i_elems for y in _bits(n_set))
+            pairs.append((n_set & im, _additive_closure(m, t, i_n)))
+        else:  # s(N :_M I) ⊆ N + (0 :_M I)
+            colon = _mask(
+                y for y in range(len(t.elements))
+                if all(n_set >> t.image[a][y] & 1 for a in i_elems)
+            )
+            pairs.append((colon, _additive_closure(m, t, n_set | killed)))
+    return tuple(pairs)
+
+
+@cache
 def witness_is_sound(prop: str, m: AnyModule, n: AnySubmodule, verdict: Verdict) -> bool:
     """Re-validate a positive certificate from scratch, at the element level.
 
     Memoized on the certificate: the harness asks about the same
-    (property, N, s) many times.
+    (property, N, s) many times, and about the same (property, N) under many
+    s, whose s-free element sets `_certificate_pairs` builds once.
     """
     if not verdict.holds or m.order > 4096:
         return True
     t = _element_table(m)
-    ring = m.ring
-    s_elem = ring.normalize(verdict.witness)
-    s_row = t.image[s_elem]
-    n_set = _submodule_mask(n)
-    if prop == "coidempotent":
-        x = _killed_by(t, _products(ring, _ann(t, n_set)))
-        return _maps_into(s_row, x, n_set)
-    if prop == "comultiplication":
-        x = _killed_by(t, _ann(t, n_set))
-        return not n_set & ~x and _maps_into(s_row, x, n_set)
-    if prop in ("idempotent", "multiplication"):
-        c = _colon(t, n_set)
-        if prop == "idempotent":
-            c = _products(ring, c)
-        target = _additive_closure(m, t, _mask_union(t.rm[r] for r in c))
-        return not target & ~n_set and _maps_into(s_row, n_set, target)
-    if prop == "pure":
-        for i in all_ideals(ring):
-            i_elems = [r for r in t.ring if ideal_contains(i, r)]
-            im = _additive_closure(m, t, _mask_union(t.rm[a] for a in i_elems))
-            i_n = _additive_closure(
-                m, t, _mask_union(_image(t.image[a], n_set) for a in i_elems)
-            )
-            if not _maps_into(s_row, n_set & im, i_n):
-                return False
-        return True
-    if prop == "copure":
-        for i in all_ideals(ring):
-            i_elems = [r for r in t.ring if ideal_contains(i, r)]
-            colon = _mask(
-                y
-                for y in range(len(t.elements))
-                if all(n_set >> t.image[a][y] & 1 for a in i_elems)
-            )
-            target = _additive_closure(m, t, n_set | _killed_by(t, i_elems))
-            if not _maps_into(s_row, colon, target):
-                return False
-        return True
+    s_elem = m.ring.normalize(verdict.witness)
     if prop == "direct_summand":
-        k_set = _submodule_mask(verdict.complement)
-        if t.rm[s_elem] != _additive_closure(m, t, n_set | k_set):
-            return False
-        return n_set & k_set == 1 << t.zero
-    raise ValueError(f"no validator for {prop!r}")
-
+        n_set, k_set = _submodule_mask(n), _submodule_mask(verdict.complement)
+        sums_to_sm = t.rm[s_elem] == _additive_closure(m, t, n_set | k_set)
+        return sums_to_sm and n_set & k_set == 1 << t.zero
+    pairs = _certificate_pairs(prop, m, n)
+    return pairs is not None and all(_maps_into(t.image[s_elem], x, y) for x, y in pairs)

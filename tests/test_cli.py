@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import subprocess
@@ -297,6 +298,58 @@ def test_product_ring_check(capsys):
         "--sub", "gens:(1;0)", "--s", "fgen:(1,1)", "--property", "direct-summand",
     )
     assert code == 0
+
+
+# (ring, module, submodules, S specs, sha256): inputs whose module exponent e is
+# below the ring's characteristic (or a Z-declared module, re-based onto Z/e),
+# where witness ideals are computed over Z/e and read back over the ring; the
+# digests were recorded while they were still computed over the ring itself
+EXPONENT_BELOW_RING = [
+    ("Z/4", "Z/1", ("gens:",), ("fgen:2", "fgen:3"),
+     "c3d18810f935e6a8bdba54559208f67bfeb567ef31ed99e6052463d14ce3dfe2"),
+    ("Z/6", "Z/2", ("gens:", "gens:1"), ("fgen:2", "fgen:3", "units"),
+     "5cc895166ccdf62d3db101fb9fd00b7b55c2e8e95a1c011fe6c90ee5741744ec"),
+    # the atoms' witness ideals are Ann(M) = (2), met by 2 in S = {1, 2, 4}
+    ("Z/6", "Z/2+Z/2", ("gens:", "gens:(1,0)", "gens:(1,1)", "gens:(1,0),(0,1)"),
+     ("fgen:2", "fgen:3", "fgen:5"),
+     "0a5bd7a9c7786d0713578fcc00861a07b26d8040c430f33f9d938e58d8a6bc28"),
+    ("Z/8", "Z/2+Z/2", ("gens:", "gens:(1,0)", "gens:(1,1)", "gens:(1,0),(0,1)"),
+     ("fgen:2", "fgen:3", "fgen:4"),
+     "6fc1a1f177e21e3932dbf39f9df352be3b3290b5bb18d1b64059870ebcc82e96"),
+    ("Z/4 x Z/3", "Z/2 x Z/3", ("gens:(0;0)", "gens:(1;0)", "gens:(0;1)", "gens:(1;1)"),
+     ("fgen:(2,1)", "fgen:(1,0)", "fgen:(3,2)"),
+     "69e268b252a4c5a92a9b29bef03301586e3cad13aee3d72285c2984a059847f0"),
+    ("Z/6 x Z/3", "Z/2+Z/2 x Z/3", ("gens:(0,0;0)", "gens:(1,0;0)", "gens:(1,1;1)"),
+     ("fgen:(2,1)", "fgen:(4,2)", "fgen:(5,1)"),
+     "e6c1b2522a94e55d45a5458d72b840b96bcc13d6f9a9b4c960221080e24829d1"),
+    ("Z", "Z/2+Z/4", ("gens:(0,2)", "gens:(1,0)", "gens:(1,1)"),
+     ("gen:2", "comp-primes:2", "units"),
+     "46bc0a5f1d4dcd620b46a50e49a9355f1bfcd0c6ceb41fa2c567bdc07a827f93"),
+]
+
+
+def _check_json_digest(capsys, ring, module, subs, multsets) -> str:
+    """sha256 over `check --json` for every property, submodule and S (module-level
+    properties with and without --uniform-witness); every call must be accepted."""
+    blob = hashlib.sha256()
+    for s in multsets:
+        for prop in VALID_PROPERTIES:
+            if prop in cli.POINTWISE:
+                extras = [("--sub", sub) for sub in subs]
+            else:
+                extras = [(), ("--uniform-witness",)]
+            for extra in extras:
+                argv = ("check", "--ring", ring, "--module", module, "--s", s,
+                        "--property", prop, "--json", *extra)
+                code, out, err = run_cli(capsys, *argv)
+                assert code in (0, 1), (argv, err)
+                blob.update(f"{argv}\n{code}\n{out}".encode())
+    return blob.hexdigest()
+
+
+def test_check_json_is_pinned_where_the_exponent_is_below_the_ring(capsys):
+    for ring, module, subs, multsets, digest in EXPONENT_BELOW_RING:
+        assert _check_json_digest(capsys, ring, module, subs, multsets) == digest, (ring, module)
 
 
 def test_property_tables_keep_their_order():

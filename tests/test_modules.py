@@ -10,6 +10,7 @@ from coidem.lattice import enumerate_submodules
 from coidem.modules import (
     FinModule,
     ProductModule,
+    ProductSubmodule,
     annihilator,
     colon_into,
     colon_ring,
@@ -368,10 +369,12 @@ def test_product_module_ops_are_componentwise():
 
 
 def test_memoized_operators_match_element_scans():
-    """`colon_into`, `colon_ring` and `ideal_action` are memoized; on every
-    module over Z/n of order at most 16 and two product modules, each agrees
-    with an element scan for all N, K and every ideal I, and a repeated call
-    with an equal (not identical) key returns the very object first built."""
+    """`colon_into`, `colon_ring` and `ideal_action` are memoized on integer
+    keys (factors, Hermite bases, generators reduced mod the exponent e); on
+    every module over Z/n of order at most 16 and two product modules, each
+    agrees with an element scan for all N, K and every ideal I, and a repeated
+    call with an equal (not identical) key returns the very basis first
+    built.  The same shape over Z/2, Z/4 and Z/8 shares those stored bases."""
     products = [
         product_module(FinModule(Z4, (2, 4)), FinModule(ModularRing(3), (3,))),
         product_module(FinModule(Z2, (2, 2)), FinModule(ModularRing(5), (5,))),
@@ -405,12 +408,34 @@ def test_memoized_operators_match_element_scans():
                 action = ideal_action(i, n)
                 seed = frozenset().union(*(rn for r, rn in scaled[n] if r in i_elems))
                 assert elems.get(action) == _additive_closure(m, seed), (m, n, i)
-                assert colon_into(twin, i) is colon and ideal_action(i, twin) is action
+                assert _shares_bases(colon_into(twin, i), colon)
+                assert _shares_bases(ideal_action(i, twin), action)
             for k in subs:
                 found = colon_ring(n, k)
                 scan = frozenset(r for r, rk in scaled[k] if rk <= in_n)
                 assert ideal_elems[found] == scan, (m, n, k)
-                assert colon_ring(twin, k) is found
+                assert colon_ring(twin, k) == found
+    # (2, 2) over Z/2, Z/4 and Z/8: an ideal (d) acts as (gcd(d, 2)), so equal
+    # keys across the rings return the identical stored basis and generator
+    base, *others = (FinModule(ModularRing(n), (2, 2)) for n in (2, 4, 8))
+    subs = enumerate_submodules(base).all
+    for m in others:
+        for n in subs:
+            lifted = replace(n, module=m)
+            for d in (1, 2, 4, 8):
+                i, i_base = ideal(m.ring, d), ideal(base.ring, gcd(d, 2))
+                assert colon_into(lifted, i).basis is colon_into(n, i_base).basis
+                assert ideal_action(i, lifted).basis is ideal_action(i_base, n).basis
+            for k in subs:
+                found = colon_ring(lifted, replace(k, module=m))
+                assert found.ring == m.ring and found.data == colon_ring(n, k).data
+
+
+def _shares_bases(a, b) -> bool:
+    """a and b hold the identical stored basis, part by part over a product ring."""
+    if isinstance(a, ProductSubmodule):
+        return all(map(_shares_bases, a.parts, b.parts))
+    return a.basis is b.basis
 
 
 def test_z_declared_reduction_soundness():

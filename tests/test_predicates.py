@@ -406,6 +406,29 @@ def test_witness_validator_matches_scan():
     assert outcomes[True] > 1000 and outcomes[False] > 1000, outcomes
 
 
+def test_witness_ideals_are_the_validated_certificates():
+    """W(N) holds exactly the r that the element-level validator accepts as s,
+    on every module over Z/n with n <= 24 and |M| <= 16 and two product
+    modules.  Most have exponent e < n, where W(N) is computed over Z/e and
+    read back over Z/n, while the validator works over Z/n itself."""
+    mods = [FinModule(ModularRing(n), f) for n in range(2, 25) for f in factor_lists(n, 16)]
+    mods += [
+        parse_module(parse_ring(ring), module)
+        for ring, module in (("Z/4 x Z/3", "Z/2 x Z/3"), ("Z/12 x Z/2", "Z/2+Z/2 x Z/2"))
+    ]
+    checks = 0
+    for m in mods:
+        ring = list(m.ring.elements())
+        for n in enumerate_submodules(m).all:
+            for prop in POINTWISE:
+                w = predicates._WITNESS_IDEALS[prop](n)
+                for r in ring:
+                    sound = witness_is_sound(prop, m, n, Verdict(True, witness=r))
+                    assert ideal_contains(w, r) == sound, (prop, m, n, r)
+                checks += len(ring)
+    assert (len(mods), checks) == (137, 140310)
+
+
 def test_witness_memo_keeps_bad_witness_false():
     """A memoized good certificate does not vouch for a bad one on the same (prop, N)."""
     n = submodule_from_generators(M4, [(2,)])
@@ -431,7 +454,10 @@ def test_witness_validator_calls_no_intmat(monkeypatch):
         for prop in POINTWISE + ("direct_summand",)
     ]
     want = [witness_is_sound_by_scan(prop, m, n, v) for prop, n, v in verdicts]
-    for name in ("_element_table", "_submodule_mask", "witness_is_sound"):
+    for name in (
+        "_element_table", "_submodule_mask", "_ideal_masks", "_certificate_pairs",
+        "witness_is_sound",
+    ):
         getattr(predicates, name).cache_clear()
 
     def forbidden(*args):

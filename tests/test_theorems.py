@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import sys
+from math import gcd, lcm
 
 from coidem import lattice, modules, predicates, theorems
 from coidem.modules import (
@@ -394,30 +395,36 @@ def test_verify_reaches_every_layer_the_harness_benchmark_traces(cold_caches, be
 
 
 def test_colon_into_computes_each_canonical_key_once(monkeypatch, cold_caches):
-    """From cold caches, `verify_all` on TINY runs the body of the memoized
-    `colon_into` once per distinct (N, I) up to canonical form: a caller that
-    passes a non-canonical submodule or ideal, or a lost memo, runs it twice."""
-    cached = modules.colon_into
+    """From cold caches, `verify_all` on TINY runs the memoized body of
+    `colon_into` once per distinct shape key (factors, Hermite basis,
+    gcd(d, e)): a caller that passes a non-canonical submodule, a lost memo or
+    one keyed on the ring runs it again.  Z/4 repeats modules of Z/2, so there
+    are fewer shape keys than distinct (N, I) over their rings."""
+    memo, called = modules._colon_basis, modules.colon_into
 
     def canonical(n):
         if isinstance(n, ProductSubmodule):
             return ProductSubmodule(n.module, tuple(map(canonical, n.parts)))
         return submodule_from_generators(n.module, n.basis)
 
-    keys = set()
+    ring_keys, shape_keys = set(), set()
 
     def recorded(n, i):
-        keys.add((canonical(n), ideal(i.ring, i.data)))
-        return cached(n, i)
+        ring_keys.add((canonical(n), ideal(i.ring, i.data)))
+        parts = zip(n.parts, i.data) if isinstance(n, ProductSubmodule) else [(n, i.data)]
+        for part, d in parts:
+            factors = part.module.factors
+            shape_keys.add((factors, canonical(part).basis, gcd(d, lcm(*factors))))
+        return called(n, i)
 
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == "coidem":
             for attr, value in list(vars(mod).items()):
-                if value is cached:
+                if value is called:
                     monkeypatch.setattr(mod, attr, recorded)
     report = verify_all(generate_corpus(TINY), config=TINY)
     assert not report.violations
-    assert cached.cache_info().misses == len(keys) > 0
+    assert memo.cache_info().misses == len(shape_keys) < len(ring_keys)
 
 
 # the same corpus with its 16 product instances, which TINY leaves out: their
