@@ -7,13 +7,11 @@ basis.  Sums, intersections, ideal action, both colon operators, annihilators,
 quotients and torsion all become exact integer linear algebra; localization
 is a closed form in the maximal multiple of S (see `LocalizedModule`).
 
-R acts on M through Z/e, e = lcm(d_i), so (d) acts as (gcd(d, e)).  Both colons
-and `scalar_submodule` (hence `ideal_action` and `annihilator`) are memoized
-on integer keys that a module shape shares over every ring: (factors, basis
-of N, gcd(d, e)), (basis of N, basis of K) and (gcd(s, e), factors, basis of
-N); callers get a `Submodule` or `Ideal` built around the stored value.  Sums
-and intersections are not: that saved 2 % of the harness time for +15 % peak
-RSS, and caching `intmat.hnf` raised the lattice run's RSS by 40 %.
+R acts on M through Z/e, e = lcm(d_i), so both colons and `scalar_submodule`
+(hence `ideal_action`, `annihilator`) are memoized on integer keys shared over
+every ring: (factors, basis of N, gcd(d, e)), (basis of N, basis of K) and
+(gcd(s, e), factors, basis of N).  Sums and intersections are not: that saved
+2 % of the harness time for +15 % RSS; caching `intmat.hnf` cost 40 % RSS.
 
 Over a product ring a module is a tuple of component modules and every
 submodule decomposes componentwise, so the operators act coordinatewise.
@@ -290,9 +288,7 @@ def colon_into(n: AnySubmodule, i: Ideal) -> AnySubmodule:
     """(N :_M I) = {m : Im ⊆ N}; for I = (d) this is {x : d·x ∈ L_N}."""
     _check_ideal_ring(i, n.module)
     if isinstance(n, ProductSubmodule):
-        comps = tuple(
-            colon_into(part, ideal(part.module.ring, d)) for part, d in zip(n.parts, i.data)
-        )
+        comps = tuple(colon_into(p, ideal(p.module.ring, d)) for p, d in zip(n.parts, i.data))
         return ProductSubmodule(n.module, comps)
     m = n.module
     return Submodule(m, _colon_basis(m.factors, n.basis, gcd(i.data, lcm(*m.factors))))

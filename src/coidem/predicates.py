@@ -22,11 +22,9 @@ component, and an I that is the whole ring off one part leaves the colon
 whole there, so the intersection over every I equals the one over the I that
 are (p^j) in one component and the whole ring in the others.
 
-R acts on M = ⊕ Z/d_i through Z/e = R/Ann_R(M), e = lcm(d_i), and each W(N)
-contains (e): it is the preimage of W(N) over Z/e.  So each is computed once
-on N re-based onto Z/e (per component over a product; the zero module keeps
-its ring), and re-tagged over R as `ideal(ring, c)`, where c divides e, hence
-n, and the zero ideal (e) of Z/e pulls back to (e), not to 0.
+R acts on M = ⊕ Z/d_i through Z/e = R/Ann_R(M), e = lcm(d_i), so each W(N) is
+computed on N re-based onto Z/e (per component; the zero module keeps its ring)
+and pulled back as `ideal(ring, c)`: c | e | n, and (e) pulls back to (e).
 
 The classical notions are exactly the S = {1} cases.
 """
@@ -34,14 +32,12 @@ The classical notions are exactly the S = {1} cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce, wraps
-from operator import and_, or_
+from functools import cache, partial, wraps
 
 from .lattice import enumerate_submodules
 from .modules import (
     AnyModule,
     AnySubmodule,
-    FinModule,
     ProductSubmodule,
     Submodule,
     ZModule,
@@ -112,9 +108,7 @@ def resolve_multset(m: AnyModule, s: AnyMultSet) -> AnyMultSet:
 # -- witness ideals (cached per submodule over Z/e; independent of S) ---------
 
 
-@cache
-def _exponent_module(factors: tuple) -> FinModule:
-    return module_from_factors(IntegerRing(), factors)
+_exponent_module = cache(partial(module_from_factors, IntegerRing()))  # one per factor tuple
 
 
 def _rebased(n: AnySubmodule) -> AnySubmodule:
@@ -127,9 +121,7 @@ def _rebased(n: AnySubmodule) -> AnySubmodule:
 
 
 def _over_exponent_ring(body):
-    """`body` as a cached witness ideal: computed on N re-based onto Z/e and
-    re-tagged over N's ring, so each module shape fills one entry."""
-
+    """`body` cached, run once per module shape on N re-based onto Z/e."""
     @cache
     @wraps(body)
     def witness_ideal(n: AnySubmodule) -> Ideal:
@@ -413,10 +405,8 @@ def fully_coidempotent_z(s: ZMultSet) -> Verdict:
 # The validator re-decides a certificate on element sets, without `intmat` or
 # the Hermite forms: a set of elements of M is a Python int whose bit i stands
 # for the i-th element of `m.elements()`, and every submodule, annihilator and
-# colon is rebuilt from the module's own `add` and `scale`.  It works over the
-# instance's own ring (every r and every ideal of R), so it checks the witness
-# ideals' exponent-ring route instead of repeating it.  The sets that involve
-# no s are kept per (property, M, N), IM and (0 :_M I) per (M, I).
+# colon is rebuilt from the module's own `add` and `scale`, over the instance's
+# own ring R, so it checks the witness ideals' Z/e route instead of repeating it.
 
 
 @dataclass(frozen=True)
@@ -452,7 +442,10 @@ def _element_table(m: AnyModule) -> _ElementTable:
 
 
 def _mask_union(masks) -> int:
-    return reduce(or_, masks, 0)
+    out = 0
+    for x in masks:
+        out |= x
+    return out
 
 
 def _mask(indexes) -> int:
@@ -463,6 +456,10 @@ def _bits(mask: int) -> list:
     return [i for i, c in enumerate(reversed(bin(mask))) if c == "1"]
 
 
+def _image(row, mask: int) -> int:
+    return _mask(row[i] for i in _bits(mask))
+
+
 def _maps_into(row, mask: int, target: int) -> bool:
     """r·X ⊆ Y, with `row` the image row of r."""
     return all(target >> row[i] & 1 for i in _bits(mask))
@@ -470,11 +467,19 @@ def _maps_into(row, mask: int, target: int) -> bool:
 
 def _killed_by(t: _ElementTable, elems) -> int:
     """(0 :_M I) for the ring elements of I."""
-    return reduce(and_, (t.kill[r] for r in elems), (1 << len(t.elements)) - 1)
+    out = (1 << len(t.elements)) - 1
+    for r in elems:
+        out &= t.kill[r]
+    return out
 
 
 def _ann(t: _ElementTable, mask: int) -> list:
     return [r for r in t.ring if not mask & ~t.kill[r]]
+
+
+def _colon(t: _ElementTable, mask: int) -> list:
+    """(N :_R M): the ring elements r with rM ⊆ N."""
+    return [r for r in t.ring if not t.rm[r] & ~mask]
 
 
 def _products(ring, elems) -> set:
@@ -524,7 +529,7 @@ def _reduce(m, row) -> tuple:
 
 @cache
 def _ideal_masks(m: AnyModule, i: Ideal) -> tuple[list, int, int]:
-    """I's ring elements, IM and (0 :_M I)."""
+    """I's ring elements, IM and (0 :_M I), built once per (M, I)."""
     t = _element_table(m)
     i_elems = [r for r in t.ring if ideal_contains(i, r)]
     im = _additive_closure(m, t, _mask_union(t.rm[a] for a in i_elems))
@@ -542,7 +547,7 @@ def _certificate_pairs(prop: str, m: AnyModule, n: AnySubmodule) -> tuple | None
         x = _killed_by(t, _ann(t, n_set))
         return None if n_set & ~x else ((x, n_set),)
     if prop in ("idempotent", "multiplication"):
-        c = [r for r in t.ring if not t.rm[r] & ~n_set]  # (N :_R M)
+        c = _colon(t, n_set)
         if prop == "idempotent":
             c = _products(ring, c)
         target = _additive_closure(m, t, _mask_union(t.rm[r] for r in c))
@@ -553,11 +558,12 @@ def _certificate_pairs(prop: str, m: AnyModule, n: AnySubmodule) -> tuple | None
     for i in all_ideals(ring):
         i_elems, im, killed = _ideal_masks(m, i)
         if prop == "pure":  # s(N ∩ IM) ⊆ IN
-            i_n = _mask(t.image[a][y] for a in i_elems for y in _bits(n_set))
+            i_n = _mask_union(_image(t.image[a], n_set) for a in i_elems)
             pairs.append((n_set & im, _additive_closure(m, t, i_n)))
         else:  # s(N :_M I) ⊆ N + (0 :_M I)
             colon = _mask(
-                y for y in range(len(t.elements))
+                y
+                for y in range(len(t.elements))
                 if all(n_set >> t.image[a][y] & 1 for a in i_elems)
             )
             pairs.append((colon, _additive_closure(m, t, n_set | killed)))
@@ -568,9 +574,8 @@ def _certificate_pairs(prop: str, m: AnyModule, n: AnySubmodule) -> tuple | None
 def witness_is_sound(prop: str, m: AnyModule, n: AnySubmodule, verdict: Verdict) -> bool:
     """Re-validate a positive certificate from scratch, at the element level.
 
-    Memoized on the certificate: the harness asks about the same
-    (property, N, s) many times, and about the same (property, N) under many
-    s, whose s-free element sets `_certificate_pairs` builds once.
+    Memoized on the certificate, and the s-free sets per (property, N): the
+    harness asks about the same (property, N) under many s, many times.
     """
     if not verdict.holds or m.order > 4096:
         return True

@@ -752,10 +752,9 @@ def _validate_instance_witnesses(inst: Instance) -> tuple[int, int]:
     The coidempotency, comultiplication, multiplication and idempotency
     witnesses are checked on every corpus instance; the (co)purity validators
     walk ideal-by-ideal element closures and run on modules of order <= 16.
-    `witness_is_sound` works on bitmasks over M's elements and the instance's
-    own ring (not Z/e, where the witness ideals are computed), without
-    `intmat`; it is memoized per (property, N, witness) and its s-free sets
-    per (property, N): `checked` counts every certificate asked, repeats too.
+    `witness_is_sound` works on bitmasks over M's elements and R itself (not
+    Z/e, where the witness ideals are computed), without `intmat`, memoized
+    per (property, N, s): `checked` counts every certificate, repeats too.
     """
     m, s = inst.module, inst.multset
     checked = failed = 0

@@ -6,6 +6,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given
 
+from coidem import modules
 from coidem.lattice import enumerate_submodules
 from coidem.modules import (
     FinModule,
@@ -368,13 +369,31 @@ def test_product_module_ops_are_componentwise():
     assert len(lat) == len(enumerate_submodules(ma)) * len(enumerate_submodules(mb))
 
 
-def test_memoized_operators_match_element_scans():
+def test_memoized_operators_match_element_scans(cold_caches):
     """`colon_into`, `colon_ring` and `ideal_action` are memoized on integer
     keys (factors, Hermite bases, generators reduced mod the exponent e); on
     every module over Z/n of order at most 16 and two product modules, each
     agrees with an element scan for all N, K and every ideal I, and a repeated
     call with an equal (not identical) key returns the very basis first
-    built.  The same shape over Z/2, Z/4 and Z/8 shares those stored bases."""
+    built, or for `colon_ring` is a hit of the generator memo with no new
+    miss.  The same shape over Z/2, Z/4 and Z/8 shares those stored values."""
+    # from cold caches, (2, 2) over Z/2, Z/4 and Z/8: an ideal (d) acts as
+    # (gcd(d, 2)), so equal keys across the rings return the identical stored
+    # basis, and every lifted colon_ring is a generator-memo hit, no new miss
+    base, *others = (FinModule(ModularRing(n), (2, 2)) for n in (2, 4, 8))
+    subs = enumerate_submodules(base).all
+    for m in others:
+        for n in subs:
+            lifted = replace(n, module=m)
+            for d in (1, 2, 4, 8):
+                i, i_base = ideal(m.ring, d), ideal(base.ring, gcd(d, 2))
+                assert colon_into(lifted, i).basis is colon_into(n, i_base).basis
+                assert ideal_action(i, lifted).basis is ideal_action(i_base, n).basis
+            for k in subs:
+                expected = colon_ring(n, k).data
+                found = _memo_hit(modules._colon_generator, colon_ring, lifted, replace(k, module=m))
+                assert found.ring == m.ring and found.data == expected
+
     products = [
         product_module(FinModule(Z4, (2, 4)), FinModule(ModularRing(3), (3,))),
         product_module(FinModule(Z2, (2, 2)), FinModule(ModularRing(5), (5,))),
@@ -414,21 +433,16 @@ def test_memoized_operators_match_element_scans():
                 found = colon_ring(n, k)
                 scan = frozenset(r for r, rk in scaled[k] if rk <= in_n)
                 assert ideal_elems[found] == scan, (m, n, k)
-                assert colon_ring(twin, k) == found
-    # (2, 2) over Z/2, Z/4 and Z/8: an ideal (d) acts as (gcd(d, 2)), so equal
-    # keys across the rings return the identical stored basis and generator
-    base, *others = (FinModule(ModularRing(n), (2, 2)) for n in (2, 4, 8))
-    subs = enumerate_submodules(base).all
-    for m in others:
-        for n in subs:
-            lifted = replace(n, module=m)
-            for d in (1, 2, 4, 8):
-                i, i_base = ideal(m.ring, d), ideal(base.ring, gcd(d, 2))
-                assert colon_into(lifted, i).basis is colon_into(n, i_base).basis
-                assert ideal_action(i, lifted).basis is ideal_action(i_base, n).basis
-            for k in subs:
-                found = colon_ring(lifted, replace(k, module=m))
-                assert found.ring == m.ring and found.data == colon_ring(n, k).data
+                assert _memo_hit(modules._colon_generator, colon_ring, twin, k) == found
+
+
+def _memo_hit(memo, f, *args):
+    """f(*args), asserting that `memo` answered it: more hits, no new miss."""
+    before = memo.cache_info()
+    out = f(*args)
+    after = memo.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses, (memo, args)
+    return out
 
 
 def _shares_bases(a, b) -> bool:

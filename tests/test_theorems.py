@@ -395,36 +395,45 @@ def test_verify_reaches_every_layer_the_harness_benchmark_traces(cold_caches, be
 
 
 def test_colon_into_computes_each_canonical_key_once(monkeypatch, cold_caches):
-    """From cold caches, `verify_all` on TINY runs the memoized body of
-    `colon_into` once per distinct shape key (factors, Hermite basis,
-    gcd(d, e)): a caller that passes a non-canonical submodule, a lost memo or
-    one keyed on the ring runs it again.  Z/4 repeats modules of Z/2, so there
-    are fewer shape keys than distinct (N, I) over their rings."""
-    memo, called = modules._colon_basis, modules.colon_into
+    """From cold caches, `verify_all` on TINY runs the memoized bodies of
+    `colon_into` and `colon_ring` once per distinct shape key, (factors,
+    Hermite basis, gcd(d, e)) and (basis of N, basis of K): a caller that
+    passes a non-canonical submodule, a lost memo or one keyed on the ring
+    runs them again.  Z/4 repeats modules of Z/2, so there are fewer shape
+    keys than distinct (N, I) and (N, K) over their rings."""
 
     def canonical(n):
         if isinstance(n, ProductSubmodule):
             return ProductSubmodule(n.module, tuple(map(canonical, n.parts)))
         return submodule_from_generators(n.module, n.basis)
 
-    ring_keys, shape_keys = set(), set()
+    into_ring, into_shape, ring_ring, ring_shape = set(), set(), set(), set()
+    into, colon = modules.colon_into, modules.colon_ring
 
-    def recorded(n, i):
-        ring_keys.add((canonical(n), ideal(i.ring, i.data)))
+    def recorded_into(n, i):
+        into_ring.add((canonical(n), ideal(i.ring, i.data)))
         parts = zip(n.parts, i.data) if isinstance(n, ProductSubmodule) else [(n, i.data)]
         for part, d in parts:
             factors = part.module.factors
-            shape_keys.add((factors, canonical(part).basis, gcd(d, lcm(*factors))))
-        return called(n, i)
+            into_shape.add((factors, canonical(part).basis, gcd(d, lcm(*factors))))
+        return into(n, i)
+
+    def recorded_colon(n, k):
+        ring_ring.add((canonical(n), canonical(k)))
+        parts = zip(n.parts, k.parts) if isinstance(n, ProductSubmodule) else [(n, k)]
+        ring_shape.update((canonical(a).basis, canonical(b).basis) for a, b in parts)
+        return colon(n, k)
 
     for name, mod in list(sys.modules.items()):
         if name.partition(".")[0] == "coidem":
             for attr, value in list(vars(mod).items()):
-                if value is called:
-                    monkeypatch.setattr(mod, attr, recorded)
+                for real, wrapper in ((into, recorded_into), (colon, recorded_colon)):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, wrapper)
     report = verify_all(generate_corpus(TINY), config=TINY)
     assert not report.violations
-    assert memo.cache_info().misses == len(shape_keys) < len(ring_keys)
+    assert modules._colon_basis.cache_info().misses == len(into_shape) < len(into_ring)
+    assert modules._colon_generator.cache_info().misses == len(ring_shape) < len(ring_ring)
 
 
 # the same corpus with its 16 product instances, which TINY leaves out: their
