@@ -7,6 +7,14 @@ evaluated, never assumed) and a pass with a failed hypothesis is flagged
 vacuous so it never counts as real coverage.  Equivalence-style entries
 (iff chains) are never vacuous.
 
+A law between module-level verdicts is a row of parts in `THEOREMS`, read off
+the named facts of `_FACTS`: `Implies(hypotheses, conclusion, key, probe)` or
+`Agree(facts, keys)`.  To add one, name any new fact in `_FACTS` and list the
+row's parts; only a law over derived modules or lists needs a body.  A part
+with a probe name also counts, on every instance, where its converse fails:
+the report's three probes are the converses of T01's forward part, of T02 and
+of T15's forward part.
+
 Quadratic-in-lattice checks carry per-entry lattice-size gates so the default
 corpus stays inside its time budget; gated instances report as inapplicable
 with a size_gate detail.  Witness ideals that do not depend on S are built
@@ -24,7 +32,8 @@ import itertools
 import os
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
+from functools import cache, reduce
+from typing import NamedTuple
 
 from .lattice import enumerate_submodules
 from .modules import (
@@ -46,6 +55,7 @@ from .modules import (
     sub_leq,
     sub_sum,
     submodule_as_module,
+    submodule_from_generators,
     zero_submodule,
 )
 from .multsets import (
@@ -163,15 +173,24 @@ class CheckResult:
     millis: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "anchor": self.anchor,
-            "instance": self.instance,
-            "status": self.status,
-            "vacuous": self.vacuous,
-            "details": self.details,
-            "millis": self.millis,
-        }
+        return dict(vars(self))  # the fields, in order
+
+
+class Implies(NamedTuple):
+    """The hypotheses, ANDed in order, imply the conclusion, whose failure is
+    recorded under `key`; `probe` names the report probe of the converse."""
+
+    hypotheses: tuple[str, ...]
+    conclusion: str
+    key: str
+    probe: str | None = None
+
+
+class Agree(NamedTuple):
+    """The facts all hold or all fail; a disagreement records each under its key."""
+
+    facts: tuple[str, ...]
+    keys: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -179,11 +198,10 @@ class Theorem:
     id: str
     anchor: str
     max_lattice: int | None
-    run: object  # callable(Instance) -> (status, vacuous, details)
+    law: tuple | object  # parts, or a body: Instance -> (status, vacuous, details)
 
-
-def _lattice_size(m: AnyModule) -> int:
-    return len(enumerate_submodules(m))
+    def run(self, inst: Instance):
+        return _evaluate(self.law, inst) if isinstance(self.law, tuple) else self.law(inst)
 
 
 def _outcome(ok: bool, applicable: bool, details: dict):
@@ -192,40 +210,57 @@ def _outcome(ok: bool, applicable: bool, details: dict):
     return "pass", (not applicable), details
 
 
-def _implications(*parts):
-    """One-way laws, each part (hypothesis, conclusion thunk, detail key): a
-    conclusion is evaluated only where its hypothesis holds, and a failing one
-    records its counterexample under its key."""
-    details = {}
-    applicable = False
-    for hypothesis, conclusion, key in parts:
-        if hypothesis:
+# the facts the law table reads; each looks `_fully`, `_comult`, `_mult` and
+# `_semisimple` up at call time, so a test that patches one reaches every row
+_FACTS = {
+    "coidempotent": lambda m, s: _fully("coidempotent", m, s),
+    "idempotent": lambda m, s: _fully("idempotent", m, s),
+    "pure": lambda m, s: _fully("pure", m, s),
+    "copure": lambda m, s: _fully("copure", m, s),
+    "coidempotent@1": lambda m, s: _fully("coidempotent", m, one_multset(m.ring)),
+    "coidempotent@S*": lambda m, s: _fully("coidempotent", m, saturation(s)),
+    "comultiplication": lambda m, s: _comult(m, s),
+    "multiplication": lambda m, s: _mult(m, s),
+    "semisimple": lambda m, s: _semisimple(m, s),
+    "S⊆U(R)": lambda m, s: Verdict(set(s.elements) <= units(m.ring)),
+    "CI are S-summands": lambda m, s: Verdict(all(
+        direct_summand(m, ci, s).holds for ci in enumerate_submodules(m).completely_irreducibles())),
+}
+
+
+def _hold(facts, m: AnyModule, s: MultSet) -> bool:
+    return all(_FACTS[f](m, s).holds for f in facts)
+
+
+def _evaluate(parts, inst: Instance):
+    """A row's (status, vacuous, details): a conclusion is evaluated only where
+    its hypotheses hold; a pass is vacuous where none held and no part is `Agree`."""
+    m, s = inst.module, inst.multset
+    details, applicable = {}, False
+    for part in parts:
+        if isinstance(part, Agree):
             applicable = True
-            verdict = conclusion()
+            values = [_FACTS[f](m, s).holds for f in part.facts]
+            if len(set(values)) > 1:
+                details.update(zip(part.keys, values))
+        elif _hold(part.hypotheses, m, s):
+            applicable = True
+            verdict = _FACTS[part.conclusion](m, s)
             if not verdict.holds:
-                details[key] = str(verdict.counterexample)
+                details[part.key] = str(verdict.counterexample)
     return _outcome(not details, applicable, details)
 
 
-# -- the twenty checks --------------------------------------------------------
+def _given(*facts):
+    """A body's hypotheses: where one fails, the law passes vacuously."""
+
+    def gate(body):
+        return lambda inst: body(inst) if _hold(facts, inst.module, inst.multset) else _outcome(True, False, {})
+
+    return gate
 
 
-def _t01(inst: Instance):
-    m, s = inst.module, inst.multset
-    classical = _fully("coidempotent", m, one_multset(m.ring))
-    with_s = _fully("coidempotent", m, s)
-    converse = set(s.elements) <= units(m.ring) and with_s.holds
-    return _implications(
-        (classical.holds, lambda: with_s, "forward_counterexample"),
-        (converse, lambda: classical, "converse_counterexample"),
-    )
-
-
-def _t02(inst: Instance):
-    m, s = inst.module, inst.multset
-    return _implications(
-        (_fully("coidempotent", m, s).holds, partial(_comult, m, s), "counterexample")
-    )
+# -- the checks with bodies ---------------------------------------------------
 
 
 def _ci_coidempotent_ideals(m: AnyModule):
@@ -235,9 +270,12 @@ def _ci_coidempotent_ideals(m: AnyModule):
 
 
 def _pair_ideals(m: AnyModule):
-    """T03(c)'s list: the witness ideal of each unordered pair of submodules."""
+    """T03(c)'s list: the witness ideal of each unordered pair of submodules,
+    less the pairs N ⊊ K (the lattice is in order, so N sorts first): there
+    Ann(K)² ⊆ Ann(N)Ann(K), so the pair's ideal contains (K, K)'s and never
+    changes the meet."""
     pairs = itertools.combinations_with_replacement(enumerate_submodules(m).all, 2)
-    return ((pair, _pair_sum_colon_ideal(*pair)) for pair in pairs)
+    return ((pair, _pair_sum_colon_ideal(*pair)) for pair in pairs if pair[0] == pair[1] or not sub_leq(*pair))
 
 
 def _t03(inst: Instance):
@@ -250,53 +288,20 @@ def _t03(inst: Instance):
     return _outcome(ok, True, det)
 
 
-def _t04(inst: Instance):
-    m, s = inst.module, inst.multset
-    comult = _comult(m, s).holds
-    cis = enumerate_submodules(m).completely_irreducibles
-    ci_ds = comult and all(direct_summand(m, ci, s).holds for ci in cis())
-    coid = partial(_fully, "coidempotent", m, s)
-    return _implications(
-        (ci_ds, coid, "part_a_counterexample"),
-        (comult and _semisimple(m, s).holds, coid, "part_b_counterexample"),
-    )
-
-
+@_given("coidempotent")
 def _t05(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _fully("coidempotent", m, s).holds:
-        return _outcome(True, False, {})
-    ring = m.ring
-    supersets = [saturation(s)]
-    extras = [x for x in sorted(ring.elements()) if x not in s.elements][:2]
-    for x in extras:
-        supersets.append(closure_in_ring(ring, list(s.elements) + [x]))
-    ok = True
-    details = {}
+    extras = [x for x in sorted(m.ring.elements()) if x not in s.elements][:2]
+    supersets = [saturation(s), *(closure_in_ring(m.ring, list(s.elements) + [x]) for x in extras)]
     for s2 in supersets:
-        if not set(s.elements) <= set(s2.elements):
-            continue
-        v = _fully("coidempotent", m, s2)
-        if not v.holds:
-            ok = False
-            details["superset"] = str(s2)
-            details["counterexample"] = str(v.counterexample)
-            break
-    return _outcome(ok, True, details)
+        if set(s.elements) <= set(s2.elements) and not (v := _fully("coidempotent", m, s2)).holds:
+            return _outcome(False, True, {"superset": str(s2), "counterexample": str(v.counterexample)})
+    return _outcome(True, True, {})
 
 
-def _t06(inst: Instance):
-    m, s = inst.module, inst.multset
-    a = _fully("coidempotent", m, s).holds
-    b = _fully("coidempotent", m, saturation(s)).holds
-    det = {} if a == b else {"plain": a, "saturated": b}
-    return _outcome(a == b, True, det)
-
-
+@_given("coidempotent")
 def _t07(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _fully("coidempotent", m, s).holds:
-        return _outcome(True, False, {})
     for n in enumerate_submodules(m).all:
         v = _fully("coidempotent", quotient_module(m, n), s)
         if not v.holds:
@@ -308,32 +313,21 @@ def _t07(inst: Instance):
     return _outcome(True, True, {})
 
 
-def _complement_multset(ring, maximal: Ideal) -> MultSet:
-    elems = frozenset(
-        x for x in ring.elements() if not ideal_contains(maximal, x)
-    )
-    return MultSet(ring, elems)
-
-
 def _t08(inst: Instance):
     m = inst.module
     ring = m.ring
-    one = one_multset(ring)
-    a = _fully("coidempotent", m, one).holds
-    stmts = {"classical": a}
-    b = True
-    c = True
-    d = True
+    a = _fully("coidempotent", m, one_multset(ring)).holds
+    # every prime ideal of Z/n, or of a finite product of such rings, is
+    # maximal: the prime and the maximal statements are one fold
+    b = d = True
     for mx in maximal_ideals(ring):
-        comp = _complement_multset(ring, mx)
+        comp = MultSet(ring, frozenset(x for x in ring.elements() if not ideal_contains(mx, x)))
         holds = _fully("coidempotent", m, comp).holds
         b = b and holds
-        c = c and holds
-        supported = s_torsion(m, comp) != full_submodule(m)
-        if supported:
+        if s_torsion(m, comp) != full_submodule(m):
             d = d and holds
-    stmts.update({"primes": b, "maximals": c, "supported_maximals": d})
-    ok = a == b == c == d
+    ok = a == b == d
+    stmts = {"classical": a, "primes": b, "maximals": b, "supported_maximals": d}
     return _outcome(ok, True, {} if ok else stmts)
 
 
@@ -341,29 +335,20 @@ def _t09(inst: Instance):
     m, s = inst.module, inst.multset
     if isinstance(m, ProductModule):
         return "inapplicable", False, {"reason": "componentwise module"}
-    lattice = enumerate_submodules(m)
     hyp_m = _fully("coidempotent", m, s).holds
     details = {"under_approximation": True}
-    ok = True
-    applicable = False
-    full = full_submodule(m)
-    for n in lattice.all:
+    applicable = hyp_m
+    for n in enumerate_submodules(m).all:
         sub_fully = _fully("coidempotent", submodule_as_module(n), s).holds
-        if hyp_m:
-            applicable = True
-            if not sub_fully:
-                ok = False
-                details["closure_counterexample"] = str(n)
-                break
-        transfer = meets_ideal(s, colon_ring(n, full))
+        if hyp_m and not sub_fully:
+            return _outcome(False, True, {**details, "closure_counterexample": str(n)})
+        transfer = meets_ideal(s, colon_ring(n, full_submodule(m)))
         if transfer is not None and sub_fully:
             applicable = True
             if not hyp_m:
-                ok = False
-                details["transfer_counterexample"] = str(n)
-                details["transfer_witness"] = str(transfer)
-                break
-    return _outcome(ok, applicable, details)
+                counterexample = {"transfer_counterexample": str(n), "transfer_witness": str(transfer)}
+                return _outcome(False, True, {**details, **counterexample})
+    return _outcome(True, applicable, details)
 
 
 def _t10(inst: Instance):
@@ -414,10 +399,9 @@ def _t12(inst: Instance):
     return _outcome(ok, True, det)
 
 
+@_given("coidempotent")
 def _t13(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _fully("coidempotent", m, s).holds:
-        return _outcome(True, False, {})
     loc = localize_module(m, s)
     if loc.trivial:
         return _outcome(True, True, {"trivial": True})
@@ -425,10 +409,9 @@ def _t13(inst: Instance):
     return _outcome(b, True, {} if b else {"localized_fails": True})
 
 
+@_given("comultiplication")
 def _t14(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _comult(m, s).holds:
-        return _outcome(True, False, {})
     for n in enumerate_submodules(m).all:
         q_comult = _comult(quotient_module(m, n), s).holds
         a = meets_ideal(s, _WITNESS_IDEALS["copure"](n)) is not None
@@ -442,16 +425,6 @@ def _t14(inst: Instance):
                 {"submodule": str(n), "a": a, "b": b, "c": c, "d": d},
             )
     return _outcome(True, True, {})
-
-
-def _t15(inst: Instance):
-    m, s = inst.module, inst.multset
-    coid, copure_v = _fully("coidempotent", m, s), _fully("copure", m, s)
-    converse = _comult(m, s).holds and copure_v.holds
-    return _implications(
-        (coid.holds, lambda: copure_v, "copure_counterexample"),
-        (converse, lambda: coid, "coidempotent_counterexample"),
-    )
 
 
 def _t16_ideals(m: AnyModule):
@@ -472,10 +445,9 @@ def _t16_ideals(m: AnyModule):
             yield (k, fam), colon(join(reduce(meet, fam), k), inter_sums)
 
 
+@_given("coidempotent")
 def _t16(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _fully("coidempotent", m, s).holds:
-        return _outcome(True, False, {})
     miss = first_miss(s, _t16_ideals, m)
     if miss is None:
         return _outcome(True, True, {"family_sizes": "1..3 plus the full lattice"})
@@ -483,10 +455,9 @@ def _t16(inst: Instance):
     return _outcome(False, True, {"k": str(k), "family": [str(n) for n in fam[:4]]})
 
 
+@_given("comultiplication")
 def _t17(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _comult(m, s).holds:
-        return _outcome(True, False, {})
     applicable = False
     for n in enumerate_submodules(m).all:
         if meets_ideal(s, _WITNESS_IDEALS["pure"](n)) is None:
@@ -495,21 +466,6 @@ def _t17(inst: Instance):
         if meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is None:
             return _outcome(False, True, {"submodule": str(n)})
     return _outcome(True, applicable, {})
-
-
-def _t18(inst: Instance):
-    m, s = inst.module, inst.multset
-    comult, mult = _comult(m, s).holds, _mult(m, s).holds
-    parts = [
-        (on and _fully(hyp, m, s).holds, partial(_fully, concl, m, s), key)
-        for key, on, hyp, concl in (
-            ("part_a_counterexample", mult, "copure", "pure"),
-            ("part_b_counterexample", comult, "pure", "copure"),
-            ("part_c_counterexample", mult, "coidempotent", "idempotent"),
-            ("part_d_counterexample", comult, "idempotent", "coidempotent"),
-        )
-    ]
-    return _implications(*parts)
 
 
 def _t19_ideals(m: AnyModule):
@@ -526,47 +482,75 @@ def _t19_ideals(m: AnyModule):
             yield (i, j), colon_ring(actions[i], actions[j])
 
 
+@_given("comultiplication")
 def _t19(inst: Instance):
     m, s = inst.module, inst.multset
-    if not _comult(m, s).holds:
-        return _outcome(True, False, {})
     miss = first_miss(s, _t19_ideals, m)
     det = {} if miss is None else {"i": str(miss[0]), "j": str(miss[1])}
     return _outcome(miss is None, True, det)
 
 
-def _t20(inst: Instance):
-    m, s = inst.module, inst.multset
-    a = _fully("coidempotent", m, s).holds
-    b = _fully("idempotent", m, s).holds
-    ok = a == b
-    det = {} if ok else {"coidempotent": a, "idempotent": b}
-    return _outcome(ok, True, det)
+# -- the law table --------------------------------------------------------------
+#
+# A law is evidence about S unless its comment calls it engine consistency:
+# N ↦ N^⊥ under the Q/Z pairing reverses a finite Z/n-module's lattice and swaps
+# the coidempotent, copure and comultiplication witness ideals with the
+# idempotent, pure and multiplication ones, so such a law holds whenever the
+# engine's paired ideals agree.
+
+THEOREMS = (
+    Theorem("T01", "fully coidempotent implies fully S-coidempotent; converse when S consists of units", None, (
+        Implies(("coidempotent@1",), "coidempotent", "forward_counterexample", "s_coidempotent_not_classical"),
+        Implies(("S⊆U(R)", "coidempotent"), "coidempotent@1", "converse_counterexample"),
+    )),
+    Theorem("T02", "fully S-coidempotent implies S-comultiplication", None, (
+        Implies(("coidempotent",), "comultiplication", "counterexample", "comultiplication_not_fully_coidempotent"),
+    )),
+    Theorem("T03", "with a maximal multiple: fully S-coidempotent iff every completely irreducible submodule is S-coidempotent iff all pairs satisfy s(0 : Ann(N)Ann(K)) inside N+K", 36, _t03),
+    Theorem("T04", "with a maximal multiple: an S-comultiplication module whose completely irreducible submodules are S-direct summands is fully S-coidempotent; likewise if S-semisimple", 64, (
+        Implies(("comultiplication", "CI are S-summands"), "coidempotent", "part_a_counterexample"),
+        Implies(("comultiplication", "semisimple"), "coidempotent", "part_b_counterexample"),
+    )),
+    Theorem("T05", "fully S1-coidempotent implies fully S2-coidempotent for any larger S2", None, _t05),
+    Theorem("T06", "fully S-coidempotent iff fully coidempotent for the saturation of S", None, (
+        Agree(("coidempotent", "coidempotent@S*"), ("plain", "saturated")),
+    )),
+    Theorem("T07", "every quotient of a fully S-coidempotent module is fully S-coidempotent", 48, _t07),
+    Theorem("T08", "fully coidempotent iff fully coidempotent at the complement of every prime (equivalently maximal, equivalently supporting maximal) ideal", 200, _t08),
+    Theorem("T09", "submodules of a fully S-coidempotent module are fully S-coidempotent; conversely along an inclusion with tM inside N for some t in S", 48, _t09),
+    Theorem("T10", "a product module is fully S-coidempotent iff each factor is, componentwise", None, _t10),
+    Theorem("T11", "localization commutes with torsion colons and annihilators", 200, _t11),
+    Theorem("T12", "with a maximal multiple: fully S-coidempotent iff the localized module is fully coidempotent", 200, _t12),
+    Theorem("T13", "over an S-noetherian ring, fully S-coidempotent carries to the localized module", 200, _t13),
+    Theorem("T14", "in an S-comultiplication module: S-copure iff (quotient S-comultiplication and S-coidempotent) iff the two colon characterizations", 36, _t14),
+    Theorem("T15", "fully S-coidempotent implies fully S-copure; with S-comultiplication, fully S-copure implies fully S-coidempotent", None, (
+        Implies(("coidempotent",), "copure", "copure_counterexample", "s_copure_not_s_coidempotent"),
+        Implies(("comultiplication", "copure"), "coidempotent", "coidempotent_counterexample"),
+    )),
+    Theorem("T16", "with a maximal multiple, in a fully S-coidempotent module finite and full families satisfy s·inter(N+K) inside inter(N)+K", 12, _t16),
+    Theorem("T17", "an S-pure submodule of an S-comultiplication module is S-coidempotent", 120, _t17),
+    # engine consistency: by duality fully S-pure iff fully S-copure, and fully
+    # S-idempotent iff fully S-coidempotent, whatever (co)multiplication says
+    Theorem("T18", "multiplication/comultiplication transfer between fully S-pure, S-copure, S-idempotent and S-coidempotent", 64, (
+        Implies(("multiplication", "copure"), "pure", "part_a_counterexample"),
+        Implies(("comultiplication", "pure"), "copure", "part_b_counterexample"),
+        Implies(("multiplication", "coidempotent"), "idempotent", "part_c_counterexample"),
+        Implies(("comultiplication", "idempotent"), "coidempotent", "part_d_counterexample"),
+    )),
+    # engine consistency: cannot fail for any S, by self-duality (`_t19_ideals`)
+    Theorem("T19", "in an S-comultiplication module torsion-colon reversal forces sJM inside IM", 120, _t19),
+    # engine consistency: by duality, as T18's parts (c) and (d)
+    Theorem("T20", "for S-finite modules fully S-coidempotent and fully S-idempotent agree (S-noetherian for the converse)", None, (
+        Agree(("coidempotent", "idempotent"), ("coidempotent", "idempotent")),
+    )),
+)
+
+# the implication parts whose converse the report counts, on every instance
+_PROBED = tuple(part for t in THEOREMS if isinstance(t.law, tuple) for part in t.law if isinstance(part, Implies) and part.probe)
 
 
 def theorem_registry() -> tuple[Theorem, ...]:
-    return (
-        Theorem("T01", "fully coidempotent implies fully S-coidempotent; converse when S consists of units", None, _t01),
-        Theorem("T02", "fully S-coidempotent implies S-comultiplication", None, _t02),
-        Theorem("T03", "with a maximal multiple: fully S-coidempotent iff every completely irreducible submodule is S-coidempotent iff all pairs satisfy s(0 : Ann(N)Ann(K)) inside N+K", 36, _t03),
-        Theorem("T04", "with a maximal multiple: an S-comultiplication module whose completely irreducible submodules are S-direct summands is fully S-coidempotent; likewise if S-semisimple", 64, _t04),
-        Theorem("T05", "fully S1-coidempotent implies fully S2-coidempotent for any larger S2", None, _t05),
-        Theorem("T06", "fully S-coidempotent iff fully coidempotent for the saturation of S", None, _t06),
-        Theorem("T07", "every quotient of a fully S-coidempotent module is fully S-coidempotent", 48, _t07),
-        Theorem("T08", "fully coidempotent iff fully coidempotent at the complement of every prime (equivalently maximal, equivalently supporting maximal) ideal", 200, _t08),
-        Theorem("T09", "submodules of a fully S-coidempotent module are fully S-coidempotent; conversely along an inclusion with tM inside N for some t in S", 48, _t09),
-        Theorem("T10", "a product module is fully S-coidempotent iff each factor is, componentwise", None, _t10),
-        Theorem("T11", "localization commutes with torsion colons and annihilators", 200, _t11),
-        Theorem("T12", "with a maximal multiple: fully S-coidempotent iff the localized module is fully coidempotent", 200, _t12),
-        Theorem("T13", "over an S-noetherian ring, fully S-coidempotent carries to the localized module", 200, _t13),
-        Theorem("T14", "in an S-comultiplication module: S-copure iff (quotient S-comultiplication and S-coidempotent) iff the two colon characterizations", 36, _t14),
-        Theorem("T15", "fully S-coidempotent implies fully S-copure; with S-comultiplication, fully S-copure implies fully S-coidempotent", None, _t15),
-        Theorem("T16", "with a maximal multiple, in a fully S-coidempotent module finite and full families satisfy s·inter(N+K) inside inter(N)+K", 12, _t16),
-        Theorem("T17", "an S-pure submodule of an S-comultiplication module is S-coidempotent", 120, _t17),
-        Theorem("T18", "multiplication/comultiplication transfer between fully S-pure, S-copure, S-idempotent and S-coidempotent", 64, _t18),
-        Theorem("T19", "in an S-comultiplication module torsion-colon reversal forces sJM inside IM", 120, _t19),
-        Theorem("T20", "for S-finite modules fully S-coidempotent and fully S-idempotent agree (S-noetherian for the converse)", None, _t20),
-    )
+    return THEOREMS
 
 
 # -- corpus -------------------------------------------------------------------
@@ -581,13 +565,7 @@ class CorpusConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "moduli": list(self.moduli),
-            "max_order": self.max_order,
-            "include_products": self.include_products,
-            "fuzz": self.fuzz,
-            "seed": self.seed,
-        }
+        return {**vars(self), "moduli": list(self.moduli)}
 
 
 def factor_lists(n: int, max_order: int):
@@ -713,14 +691,7 @@ class Report:
     witness_checks: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "results": [r.to_dict() for r in self.results],
-            "summary": self.summary,
-            "probes": self.probes,
-            "witness_checks": self.witness_checks,
-        }
+        return {**vars(self), "results": [r.to_dict() for r in self.results]}
 
     @property
     def violations(self) -> list[CheckResult]:
@@ -729,18 +700,11 @@ class Report:
 
 def run_check(theorem: Theorem, inst: Instance, timings: bool = False) -> CheckResult:
     start = time.perf_counter() if timings else None
-    if theorem.max_lattice is not None and _lattice_size(inst.module) > theorem.max_lattice:
-        result = CheckResult(
-            theorem.id,
-            theorem.anchor,
-            inst.label,
-            "inapplicable",
-            False,
-            {"size_gate": theorem.max_lattice},
-        )
+    if theorem.max_lattice is not None and len(enumerate_submodules(inst.module)) > theorem.max_lattice:
+        status, vacuous, details = "inapplicable", False, {"size_gate": theorem.max_lattice}
     else:
         status, vacuous, details = theorem.run(inst)
-        result = CheckResult(theorem.id, theorem.anchor, inst.label, status, vacuous, details)
+    result = CheckResult(theorem.id, theorem.anchor, inst.label, status, vacuous, details)
     if timings:
         result.millis = round((time.perf_counter() - start) * 1000.0, 3)
     return result
@@ -772,17 +736,6 @@ def _validate_instance_witnesses(inst: Instance) -> tuple[int, int]:
     return checked, failed
 
 
-def _probe_flags(inst: Instance) -> dict:
-    m, s = inst.module, inst.multset
-    coid = _fully("coidempotent", m, s).holds
-    return {
-        "comultiplication_not_fully_coidempotent": _comult(m, s).holds and not coid,
-        "s_coidempotent_not_classical": coid
-        and not _fully("coidempotent", m, one_multset(m.ring)).holds,
-        "s_copure_not_s_coidempotent": _fully("copure", m, s).holds and not coid,
-    }
-
-
 def verify_all(
     corpus,
     theorem_ids=None,
@@ -791,9 +744,7 @@ def verify_all(
     timings: bool = False,
     config: CorpusConfig | None = None,
 ) -> Report:
-    registry = [
-        t for t in theorem_registry() if theorem_ids is None or t.id in theorem_ids
-    ]
+    registry = [t for t in THEOREMS if theorem_ids is None or t.id in theorem_ids]
     tasks = [(inst, [t.id for t in registry], validate_witnesses, timings) for inst in corpus]
     # the report does not depend on the job count: more workers than usable
     # CPUs or than instances only add processes
@@ -812,23 +763,15 @@ def verify_all(
     summary: dict = {}
     for t in registry:
         rows = [r for r in results if r.theorem_id == t.id]
-        summary[t.id] = {
+        row = summary[t.id] = {
             "pass": sum(r.status == "pass" for r in rows),
             "vacuous": sum(r.status == "pass" and r.vacuous for r in rows),
             "violation": sum(r.status == "violation" for r in rows),
             "inapplicable": sum(r.status == "inapplicable" for r in rows),
         }
-        summary[t.id]["applicable"] = (
-            summary[t.id]["pass"]
-            - summary[t.id]["vacuous"]
-            + summary[t.id]["violation"]
-        )
+        row["applicable"] = row["pass"] - row["vacuous"] + row["violation"]
     probes = {}
-    for name in (
-        "comultiplication_not_fully_coidempotent",
-        "s_coidempotent_not_classical",
-        "s_copure_not_s_coidempotent",
-    ):
+    for name in sorted(part.probe for part in _PROBED):  # by name, as the text report lists them
         hits = [label for label, flags in probe_list if flags[name]]
         probes[name] = {"count": len(hits), "examples": hits[:3]}
     return Report(
@@ -843,9 +786,11 @@ def verify_all(
 
 def _worker(args):
     inst, ids, validate_witnesses, timings = args
-    registry = [t for t in theorem_registry() if t.id in ids]
-    results = [run_check(t, inst, timings=timings) for t in registry]
-    probe = (inst.label, _probe_flags(inst))
+    results = [run_check(t, inst, timings=timings) for t in THEOREMS if t.id in ids]
+    m, s = inst.module, inst.multset
+    # each probed part's converse fails: its conclusion holds, its hypotheses do not
+    flags = {p.probe: _FACTS[p.conclusion](m, s).holds and not _hold(p.hypotheses, m, s) for p in _PROBED}
+    probe = (inst.label, flags)
     checked = failed = 0
     if validate_witnesses:
         checked, failed = _validate_instance_witnesses(inst)
@@ -863,12 +808,7 @@ class GoldenResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return dict(vars(self))
 
 
 def reproduce_examples() -> list[GoldenResult]:
@@ -892,8 +832,6 @@ def reproduce_examples() -> list[GoldenResult]:
     m22 = module_from_factors(Z, (2, 2))
     v_s = fully("coidempotent", m22, ZGeneratedBy((2,)))
     v_plain = fully("coidempotent", m22, one_multset(m22.ring))
-    from .modules import submodule_from_generators
-
     lines = (
         submodule_from_generators(m22, [(1, 0)]),
         submodule_from_generators(m22, [(0, 1)]),

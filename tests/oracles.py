@@ -30,6 +30,7 @@ from coidem.multsets import (
     MultSet,
     meets_ideal,
     one_multset,
+    saturation,
     ZComplementOfPrimes,
     ZGeneratedBy,
     ZNonZero,
@@ -558,12 +559,12 @@ def t16_by_index_families(inst):
 
 # -- law bodies case by case -------------------------------------------------------
 #
-# The theorem bodies as they read before `theorems._implications` and
-# `predicates.first_miss`: every one-way law keeps its own ok / applicable /
+# The theorem bodies as they read before the law table (`theorems.THEOREMS`)
+# and `predicates.first_miss`: every law keeps its own ok / applicable /
 # details bookkeeping, and every list of ideals is scanned one `meets_ideal` at
 # a time.  Hypotheses and (co)multiplication verdicts are read through
 # `theorems._fully`, `_comult`, `_mult` and `_semisimple`, so a test that
-# patches those reaches these routes and the registry's bodies alike.
+# patches those reaches these routes and the registry's rows alike.
 
 
 def t01_by_cases(inst):
@@ -636,6 +637,14 @@ def t04_by_cases(inst):
     return theorems._outcome(ok, applicable, details)
 
 
+def t06_by_cases(inst):
+    m, s = inst.module, inst.multset
+    a = theorems._fully("coidempotent", m, s).holds
+    b = theorems._fully("coidempotent", m, saturation(s)).holds
+    det = {} if a == b else {"plain": a, "saturated": b}
+    return theorems._outcome(a == b, True, det)
+
+
 def t15_by_cases(inst):
     m, s = inst.module, inst.multset
     coid = theorems._fully("coidempotent", m, s)
@@ -678,6 +687,26 @@ def t18_by_cases(inst):
             ok = False
             details[f"part_{name}_counterexample"] = str(v.counterexample)
     return theorems._outcome(ok, applicable, details)
+
+
+def t20_by_cases(inst):
+    m, s = inst.module, inst.multset
+    a = theorems._fully("coidempotent", m, s).holds
+    b = theorems._fully("idempotent", m, s).holds
+    det = {} if a == b else {"coidempotent": a, "idempotent": b}
+    return theorems._outcome(a == b, True, det)
+
+
+def probe_flags(inst) -> dict:
+    """The report's three converse probes, each written out by hand."""
+    m, s = inst.module, inst.multset
+    coid = theorems._fully("coidempotent", m, s).holds
+    return {
+        "comultiplication_not_fully_coidempotent": theorems._comult(m, s).holds and not coid,
+        "s_coidempotent_not_classical": coid
+        and not theorems._fully("coidempotent", m, one_multset(m.ring)).holds,
+        "s_copure_not_s_coidempotent": theorems._fully("copure", m, s).holds and not coid,
+    }
 
 
 def t19_by_scans(inst):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import sys
@@ -19,7 +20,7 @@ from coidem.multsets import (
     reduce_presentation,
 )
 from coidem.predicates import Verdict
-from coidem.rings import ModularRing, ideal
+from coidem.rings import ModularRing, ideal, ideal_meet
 from coidem.theorems import (
     CorpusConfig,
     Instance,
@@ -34,14 +35,17 @@ from coidem.theorems import (
 
 import oracles
 from oracles import (
+    probe_flags,
     t01_by_cases,
     t02_by_cases,
     t03_by_scans,
     t04_by_cases,
+    t06_by_cases,
     t15_by_cases,
     t16_by_index_families,
     t18_by_cases,
     t19_by_scans,
+    t20_by_cases,
 )
 
 SMALL = CorpusConfig(moduli=(2, 3, 4, 6), max_order=8, include_products=True)
@@ -264,18 +268,21 @@ def test_t03_t19_violations_match_scan_oracles(monkeypatch, request):
     # the corpus never violates T03 or T19, so T03's fully side and T19's
     # hypothesis are forced to "hold" on modules where they do not; T19 holds
     # for every S (finite abelian groups are self-dual), so its torsion test
-    # is also forced to pass every pair of ideals, in both routes, and the
+    # is also forced to pass every pair of ideals, in both routes (after T03,
+    # whose pair list reads the true order to skip comparable pairs), and the
     # per-module intersections built meanwhile are dropped afterwards
     monkeypatch.setattr(theorems, "_fully", lambda prop, m, s: Verdict(True))
     monkeypatch.setattr(theorems, "_comult", lambda m, s: Verdict(True))
-    for mod in (theorems, oracles):
-        monkeypatch.setattr(mod, "sub_leq", lambda n, k: True)
     predicates.meet_of.cache_clear()
     request.addfinalizer(predicates.meet_of.cache_clear)
     for theorem_id, body, oracle in (
         ("T03", theorems._t03, t03_by_scans),
         ("T19", theorems._t19, t19_by_scans),
     ):
+        if theorem_id == "T19":
+            for mod in (theorems, oracles):
+                monkeypatch.setattr(mod, "sub_leq", lambda n, k: True)
+            predicates.meet_of.cache_clear()
         violations = 0
         for inst in _gated(theorem_id):
             outcome = body(inst)
@@ -296,25 +303,64 @@ def _patterned(name: str):
 
 
 def test_one_way_laws_match_case_by_case_oracles(monkeypatch):
-    """`theorems._implications` against the hand-written bookkeeping, with
-    every module-level verdict the five laws read holding or failing by a
-    fixed pattern, so that each law meets each of its cases."""
+    """Every row of the law table against its hand-written bookkeeping, and
+    the probes read off the table against the hand-written flags, with every
+    module-level verdict the rows read holding or failing by a fixed
+    pattern, so that each law meets each of its cases."""
     for name in ("_fully", "_comult", "_mult", "_semisimple"):
         monkeypatch.setattr(theorems, name, _patterned(name))
-    laws = {
-        "T01": (theorems._t01, t01_by_cases),
-        "T02": (theorems._t02, t02_by_cases),
-        "T04": (theorems._t04, t04_by_cases),
-        "T15": (theorems._t15, t15_by_cases),
-        "T18": (theorems._t18, t18_by_cases),
+    oracle_of = {
+        "T01": t01_by_cases,
+        "T02": t02_by_cases,
+        "T04": t04_by_cases,
+        "T06": t06_by_cases,
+        "T15": t15_by_cases,
+        "T18": t18_by_cases,
+        "T20": t20_by_cases,
     }
-    violations = dict.fromkeys(laws, 0)
+    rows = [t for t in theorem_registry() if isinstance(t.law, tuple)]
+    assert [t.id for t in rows] == list(oracle_of)
+    violations = dict.fromkeys(oracle_of, 0)
+    probes = 0
     for inst in generate_corpus(SMALL):
-        for theorem_id, (body, oracle) in laws.items():
-            outcome = body(inst)
-            assert outcome == oracle(inst), (theorem_id, inst.label)
-            violations[theorem_id] += outcome[0] == "violation"
+        for row in rows:
+            outcome = row.run(inst)
+            assert outcome == oracle_of[row.id](inst), (row.id, inst.label)
+            violations[row.id] += outcome[0] == "violation"
+        _, (_, flags), _, _ = theorems._worker((inst, [], False, False))
+        assert flags == probe_flags(inst), inst.label
+        probes += any(flags.values())
     assert all(violations.values()), violations
+    assert probes
+
+
+def test_probes_read_off_the_table_match_the_hand_written_flags():
+    """The report's probes, from the table's probed parts, against
+    `oracles.probe_flags` on every instance, whatever `theorem_ids` says."""
+    corpus = generate_corpus(SMALL)
+    flags = [(inst.label, probe_flags(inst)) for inst in corpus]
+    expected = {}
+    for name in flags[0][1]:
+        hits = [label for label, f in flags if f[name]]
+        expected[name] = {"count": len(hits), "examples": hits[:3]}
+    assert all(probe["count"] for probe in expected.values())
+    for theorem_ids in (None, {"T03"}):
+        report = verify_all(corpus, theorem_ids=theorem_ids, validate_witnesses=False)
+        assert report.probes == expected
+        assert list(report.probes) == list(expected)  # the text report's order
+
+
+def test_pair_list_meet_equals_the_full_pair_scan():
+    """T03(c)'s list leaves out the comparable pairs N ⊊ K, whose ideal holds
+    the (K, K) entry's: its meet is the meet over all n(n+1)/2 pairs."""
+    skipped = 0
+    for m in {inst.module for inst in _gated("T03")}:
+        subs = lattice.enumerate_submodules(m).all
+        pairs = list(itertools.combinations_with_replacement(subs, 2))
+        every = ideal_meet(m.ring, (theorems._pair_sum_colon_ideal(n, k) for n, k in pairs))
+        assert predicates.meet_of(theorems._pair_ideals, m) == every, m
+        skipped += len(pairs) - len(list(theorems._pair_ideals(m)))
+    assert skipped
 
 
 def test_reproduce_examples_all_pass():
