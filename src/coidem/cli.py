@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end; the parser is built once, at import, and `main(argv)` is reentrant.
 
 Commands:
   check               decide one property for (ring, module[, submodule], S)
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .lattice import LatticeCapExceeded, enumerate_submodules
@@ -243,6 +244,10 @@ def cmd_verify(args) -> int:
         seed=args.seed,
     )
     theorem_ids = _parse_theorem_ids(args.theorems) if args.theorems else None
+    if args.out:
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise SpecError(f"cannot write --out {args.out}: not a file in a writable directory")
     corpus = generate_corpus(config)
     report = verify_all(
         corpus,
@@ -254,8 +259,11 @@ def cmd_verify(args) -> int:
     )
     blob = _dump(report.to_dict())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(blob + "\n")
+        except OSError as exc:
+            raise SpecError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     if args.json:
         print(blob)
     else:
@@ -341,9 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (SpecError, LatticeCapExceeded, MultSetTooLarge, FactorizationTooLarge) as exc:

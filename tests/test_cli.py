@@ -1,7 +1,9 @@
 import argparse
+import errno
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -243,6 +245,32 @@ def test_verify_small_and_exit_code(tmp_path, capsys):
     assert set(blob["summary"]) == {"T02", "T12", "T20"}
 
 
+def test_verify_unwritable_out_exits_2_before_any_instance_runs(tmp_path, capsys, monkeypatch):
+    """A missing parent directory or an existing directory is refused before
+    the corpus is built; a write that fails anyway is an error, not a traceback."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    argv = ("verify", "--moduli", "2", "--max-order", "2", "--no-products", "--theorems", "T02")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "generate_corpus", never)
+        m.setattr(cli, "verify_all", never)
+        for out_path in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+            assert code == 2 and out == "" and err.count("\n") == 1, err
+            assert err.startswith(f"error: cannot write --out {out_path}: "), err
+
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    out_path = tmp_path / "x.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert (code, out) == (2, "") and not out_path.exists()
+    assert err == f"error: cannot write --out {out_path}: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_verify_empty_corpus(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--moduli", "2", "--max-order", "1", "--no-products"
@@ -415,6 +443,66 @@ def test_console_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1
+
+
+def _main_outcome(capsys, argv):
+    """main(argv) as (raised SystemExit, exit code, stdout, stderr)."""
+    try:
+        raised, code = False, main(list(argv))
+    except SystemExit as exc:
+        raised, code = True, exc.code
+    captured = capsys.readouterr()
+    return raised, code, captured.out, captured.err
+
+
+def _outcome_matches_a_fresh_parser(capsys, monkeypatch, argv):
+    """Runs argv through the import-time parser, then through a freshly built
+    one, asserts both give the same outcome and returns it."""
+    reused = _main_outcome(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "PARSER", cli.build_parser())
+        fresh = _main_outcome(capsys, argv)
+    assert reused == fresh, argv
+    return reused
+
+
+def test_the_reused_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    check = ("check", "--ring", "Z/12", "--module", "Z/12", "--s", "fgen:5",
+             "--property", "fully-coidempotent", "--json")
+    _, code, out, _ = _outcome_matches_a_fresh_parser(
+        capsys, monkeypatch, check + ("--loose-ds", "--uniform-witness")
+    )
+    payload = json.loads(out)
+    assert code in (0, 1) and payload["strict_ds"] is False and payload["uniform_witness"] is True
+    _, code, out, _ = _outcome_matches_a_fresh_parser(capsys, monkeypatch, check)
+    payload = json.loads(out)
+    assert code in (0, 1) and payload["strict_ds"] is True and payload["uniform_witness"] is False
+    raised, code, out, err = _outcome_matches_a_fresh_parser(
+        capsys, monkeypatch, ("check", "--ring", "Z/4", "--module", "Z/4", "--property", "pure")
+    )
+    assert (raised, code, out) == (True, 2, "") and "--s" in err
+    _, code, out, _ = _outcome_matches_a_fresh_parser(
+        capsys, monkeypatch, ("enumerate", "--ring", "Z/4", "--module", "Z/4", "--hasse", "--json")
+    )
+    assert code == 0 and json.loads(out)["hasse"] == [[0, 1], [1, 2]]
+    raised, code, out, err = _outcome_matches_a_fresh_parser(
+        capsys, monkeypatch,
+        ("check", "--ring", "Z/6", "--module", "Z/6", "--sub", "gens:2", "--s", "fgen:1",
+         "--property", "coidempotent"),
+    )
+    assert (raised, code, err) == (False, 0, "") and "holds=True" in out
+
+
+def test_help_and_usage_text_match_a_fresh_parser(capsys, monkeypatch):
+    for argv in (
+        ("--help",), ("check", "--help"), ("enumerate", "--help"), ("verify", "--help"),
+        ("reproduce-examples", "--help"), ("frobnicate",),
+    ):
+        raised, code, out, err = _outcome_matches_a_fresh_parser(capsys, monkeypatch, argv)
+        if argv == ("frobnicate",):
+            assert (raised, code, out) == (True, 2, "") and "invalid choice" in err
+        else:
+            assert (raised, code, err) == (True, 0, "") and out.startswith("usage: coidem")
 
 
 # -- fuzzing the spec grammar ------------------------------------------------
