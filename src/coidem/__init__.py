@@ -76,12 +76,12 @@ from .predicates import (
     semisimple,
 )
 from .theorems import (
+    THEOREMS,
     CorpusConfig,
     Instance,
     Report,
     generate_corpus,
     reproduce_examples,
-    theorem_registry,
     verify_all,
 )
 

@@ -6,9 +6,10 @@ Commands:
   verify              run the law-check harness over a generated corpus
   reproduce-examples  assert the five bundled golden verdicts
 
-Exit codes: 0 = holds / no violations, 1 = property fails or violations found,
-2 = spec or usage errors.  JSON output uses canonical key order so reports are
-byte-identical across runs for a fixed configuration.
+Exit codes: 0 = holds / no violations, 1 = property fails, violations found or
+a witness fails re-validation, 2 = spec or usage errors.  JSON output uses
+canonical key order so reports are byte-identical across runs for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -38,13 +39,7 @@ from .predicates import (
 )
 from .rings import FactorizationTooLarge, UnsupportedRingError
 from .specs import SpecError, parse_module, parse_multset, parse_ring, parse_submodule
-from .theorems import (
-    CorpusConfig,
-    generate_corpus,
-    reproduce_examples,
-    theorem_registry,
-    verify_all,
-)
+from .theorems import THEOREMS, CorpusConfig, generate_corpus, reproduce_examples, verify_all
 
 # property -> (reads --sub, decide(module, submodule, S, parsed args)), in listing order
 DECIDE = {
@@ -79,23 +74,12 @@ for _name in VALID_PROPERTIES:
         _ALIASES["s-" + _name] = _name
 
 
-def _edit_distance(a: str, b: str) -> int:
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def _resolve_property(name: str) -> str:
     if name in _ALIASES:
         return _ALIASES[name]
-    near = sorted(
-        (alias for alias in _ALIASES if _edit_distance(name, alias) <= 2),
-        key=lambda alias: (_edit_distance(name, alias), alias),
-    )
+    import difflib  # only a miss pays for the import
+
+    near = difflib.get_close_matches(name, _ALIASES, n=1)
     hint = f"; did you mean {near[0]!r}?" if near else ""
     raise SpecError(
         f"unknown property {name!r}{hint} valid names: {', '.join(sorted(set(_ALIASES)))}"
@@ -221,7 +205,7 @@ def _parse_moduli(text: str) -> tuple[int, ...]:
 
 def _parse_theorem_ids(text: str) -> set[str]:
     ids = {tid.strip() for tid in text.split(",") if tid.strip()}
-    valid = [t.id for t in theorem_registry()]
+    valid = [t.id for t in THEOREMS]
     unknown = sorted(ids - set(valid))
     if unknown or not ids:
         what = f"unknown theorem id(s) {', '.join(unknown)}" if unknown else "no theorem id"
@@ -281,7 +265,7 @@ def cmd_verify(args) -> int:
         print(f"  violations: {len(report.violations)}")
         for v in report.violations[:10]:
             print(f"    {v.theorem_id} {v.instance} {v.details}")
-    return 0 if not report.violations else 1
+    return 0 if not report.violations and not report.witness_checks["failed"] else 1
 
 
 def cmd_reproduce(args) -> int:

@@ -198,7 +198,7 @@ def _modular_lattice(m: FinModule, cap: int) -> SubmoduleLattice:
             per_prime.setdefault(p, []).append((i, p**e))
     if len(per_prime) < 2:
         bases = _p_component_bases_cached(m.factors, cap)
-        return SubmoduleLattice(m, {_submodule(m, b): () for b in bases})
+        return SubmoduleLattice(m, {Submodule(m, b): () for b in bases})  # each basis is its own HNF
     coords = [per_prime[p] for p in sorted(per_prime)]
     qs = [tuple(q for _, q in c) for c in coords]
     comps = [enumerate_submodules(FinModule(ModularRing(max(q)), q), cap) for q in qs]

@@ -7,13 +7,17 @@ evaluated, never assumed) and a pass with a failed hypothesis is flagged
 vacuous so it never counts as real coverage.  Equivalence-style entries
 (iff chains) are never vacuous.
 
-A law between module-level verdicts is a row of parts in `THEOREMS`, read off
-the named facts of `_FACTS`: `Implies(hypotheses, conclusion, key, probe)` or
-`Agree(facts, keys)`.  To add one, name any new fact in `_FACTS` and list the
-row's parts; only a law over derived modules or lists needs a body.  A part
-with a probe name also counts, on every instance, where its converse fails:
-the report's three probes are the converses of T01's forward part, of T02 and
-of T15's forward part.
+A law whose outcome depends only on module-level facts is a row of parts in
+`THEOREMS`, read off the named facts of `_FACTS`: `Implies(hypotheses,
+conclusion, key, probe)` or `Agree(facts, keys)`.  A fact is a `Verdict`; one
+over a list of ideals or a family of modules or sets fails with the details of
+its first miss, and a dict of details is recorded under its own keys.  To add
+a law, name any new fact in `_FACTS` and list the row's parts.  Six laws keep
+a body, as their outcome carries what a part cannot: inapplicability (T09 on
+products, T10 off them), a note on passing rows (T09, T11, T13, T16) or a key
+for the trivial case (T12).  A part with a probe name also counts, on every
+instance, where its converse fails: the report's three probes are the
+converses of T01's forward part, of T02 and of T15's forward part.
 
 Quadratic-in-lattice checks carry per-entry lattice-size gates so the default
 corpus stays inside its time budget; gated instances report as inapplicable
@@ -102,36 +106,14 @@ from .specs import SpecError
 # -- cached predicate layer (everything is hashable) --------------------------
 
 
-@cache
-def _fully(prop: str, m: AnyModule, s: MultSet) -> Verdict:
-    return fully(prop, m, s)
-
-
-@cache
-def _comult(m: AnyModule, s: MultSet) -> Verdict:
-    return comultiplication(m, s)
-
-
-@cache
-def _mult(m: AnyModule, s: MultSet) -> Verdict:
-    return multiplication(m, s)
-
-
-@cache
-def _semisimple(m: AnyModule, s: MultSet) -> Verdict:
-    return semisimple(m, s)
-
-
-@cache
-def _ann(n: AnySubmodule) -> Ideal:
-    return annihilator(n)
+_fully, _comult, _mult, _semisimple, _ann = map(
+    cache, (fully, comultiplication, multiplication, semisimple, annihilator))
 
 
 @cache
 def _pair_sum_colon_ideal(n: AnySubmodule, k: AnySubmodule) -> Ideal:
     """The T03(c) witness ideal ((N + K) :_R (0 :_M Ann(N)Ann(K)))."""
-    m = n.module
-    torsion = colon_into(zero_submodule(m), ideal_product(_ann(n), _ann(k)))
+    torsion = colon_into(zero_submodule(n.module), ideal_product(_ann(n), _ann(k)))
     return colon_ring(sub_sum(n, k), torsion)
 
 
@@ -178,11 +160,12 @@ class CheckResult:
 
 class Implies(NamedTuple):
     """The hypotheses, ANDed in order, imply the conclusion, whose failure is
-    recorded under `key`; `probe` names the report probe of the converse."""
+    recorded under `key` (a dict of details under its own keys); `probe` names
+    the report probe of the converse."""
 
     hypotheses: tuple[str, ...]
     conclusion: str
-    key: str
+    key: str | None = None
     probe: str | None = None
 
 
@@ -210,57 +193,7 @@ def _outcome(ok: bool, applicable: bool, details: dict):
     return "pass", (not applicable), details
 
 
-# the facts the law table reads; each looks `_fully`, `_comult`, `_mult` and
-# `_semisimple` up at call time, so a test that patches one reaches every row
-_FACTS = {
-    "coidempotent": lambda m, s: _fully("coidempotent", m, s),
-    "idempotent": lambda m, s: _fully("idempotent", m, s),
-    "pure": lambda m, s: _fully("pure", m, s),
-    "copure": lambda m, s: _fully("copure", m, s),
-    "coidempotent@1": lambda m, s: _fully("coidempotent", m, one_multset(m.ring)),
-    "coidempotent@S*": lambda m, s: _fully("coidempotent", m, saturation(s)),
-    "comultiplication": lambda m, s: _comult(m, s),
-    "multiplication": lambda m, s: _mult(m, s),
-    "semisimple": lambda m, s: _semisimple(m, s),
-    "S⊆U(R)": lambda m, s: Verdict(set(s.elements) <= units(m.ring)),
-    "CI are S-summands": lambda m, s: Verdict(all(
-        direct_summand(m, ci, s).holds for ci in enumerate_submodules(m).completely_irreducibles())),
-}
-
-
-def _hold(facts, m: AnyModule, s: MultSet) -> bool:
-    return all(_FACTS[f](m, s).holds for f in facts)
-
-
-def _evaluate(parts, inst: Instance):
-    """A row's (status, vacuous, details): a conclusion is evaluated only where
-    its hypotheses hold; a pass is vacuous where none held and no part is `Agree`."""
-    m, s = inst.module, inst.multset
-    details, applicable = {}, False
-    for part in parts:
-        if isinstance(part, Agree):
-            applicable = True
-            values = [_FACTS[f](m, s).holds for f in part.facts]
-            if len(set(values)) > 1:
-                details.update(zip(part.keys, values))
-        elif _hold(part.hypotheses, m, s):
-            applicable = True
-            verdict = _FACTS[part.conclusion](m, s)
-            if not verdict.holds:
-                details[part.key] = str(verdict.counterexample)
-    return _outcome(not details, applicable, details)
-
-
-def _given(*facts):
-    """A body's hypotheses: where one fails, the law passes vacuously."""
-
-    def gate(body):
-        return lambda inst: body(inst) if _hold(facts, inst.module, inst.multset) else _outcome(True, False, {})
-
-    return gate
-
-
-# -- the checks with bodies ---------------------------------------------------
+# -- the lists and families the facts read ------------------------------------
 
 
 def _ci_coidempotent_ideals(m: AnyModule):
@@ -278,57 +211,130 @@ def _pair_ideals(m: AnyModule):
     return ((pair, _pair_sum_colon_ideal(*pair)) for pair in pairs if pair[0] == pair[1] or not sub_leq(*pair))
 
 
-def _t03(inst: Instance):
-    m, s = inst.module, inst.multset
-    a = _fully("coidempotent", m, s).holds
-    b = first_miss(s, _ci_coidempotent_ideals, m) is None
-    c = first_miss(s, _pair_ideals, m) is None
-    ok = a == b == c
-    det = {} if ok else {"fully": a, "completely_irreducible": b, "pairwise": c}
-    return _outcome(ok, True, det)
+def _t19_ideals(m: AnyModule):
+    """T19's list: (IM :_R JM) for each pair of ideals with (0 :_M I) ⊆ (0 :_M J).
+    Every entry is R, so the law cannot fail for any S and tests only the
+    torsion, ideal-action and colon arithmetic: a finite Z/n-module is self-dual
+    (M ≅ M^ = Hom(M, Q/Z), under which (0 :_M^ I) = (IM)^⊥), so the hypothesis
+    reads (IM)^⊥ ⊆ (JM)^⊥, i.e. JM ⊆ IM; products go component by component."""
+    ideals = all_ideals(m.ring)
+    torsions = {i: colon_into(zero_submodule(m), i) for i in ideals}
+    actions = {i: ideal_action(i, full_submodule(m)) for i in ideals}
+    for i, j in itertools.product(ideals, repeat=2):
+        if sub_leq(torsions[i], torsions[j]):
+            yield (i, j), colon_ring(actions[i], actions[j])
 
 
-@_given("coidempotent")
-def _t05(inst: Instance):
-    m, s = inst.module, inst.multset
+def _prime_complements(ring):
+    """R ∖ P for each prime P (over Z/n and finite products of such rings, every prime is maximal)."""
+    return [MultSet(ring, frozenset(x for x in ring.elements() if not ideal_contains(mx, x)))
+            for mx in maximal_ideals(ring)]
+
+
+def _none_of(counterexamples) -> Verdict:
+    """Holds unless `counterexamples` yields one; the first is the verdict's."""
+    first = next(iter(counterexamples), None)
+    return Verdict(first is None, counterexample=first)
+
+
+def _coidempotent_at_supersets(m: AnyModule, s: MultSet) -> Verdict:
+    """T05's conclusion at S* and at the closures of S with each of the two
+    least ring elements outside S."""
     extras = [x for x in sorted(m.ring.elements()) if x not in s.elements][:2]
-    supersets = [saturation(s), *(closure_in_ring(m.ring, list(s.elements) + [x]) for x in extras)]
-    for s2 in supersets:
-        if set(s.elements) <= set(s2.elements) and not (v := _fully("coidempotent", m, s2)).holds:
-            return _outcome(False, True, {"superset": str(s2), "counterexample": str(v.counterexample)})
-    return _outcome(True, True, {})
+    larger = [saturation(s), *(closure_in_ring(m.ring, list(s.elements) + [x]) for x in extras)]
+    return _none_of(
+        {"superset": str(s2), "counterexample": str(v.counterexample)}
+        for s2 in larger if not (v := _fully("coidempotent", m, s2)).holds
+    )
 
 
-@_given("coidempotent")
-def _t07(inst: Instance):
-    m, s = inst.module, inst.multset
+def _copure_disagreements(m: AnyModule, s: MultSet):
+    """T14's readings of "N is S-copure" at each N where they disagree: (a) as
+    defined, (b) quotient S-comultiplication and N S-coidempotent, (c) and (d)
+    quotient S-comultiplication and S meeting the two colon ideals."""
     for n in enumerate_submodules(m).all:
-        v = _fully("coidempotent", quotient_module(m, n), s)
-        if not v.holds:
-            return _outcome(
-                False,
-                True,
-                {"by": str(n), "counterexample": str(v.counterexample)},
-            )
-    return _outcome(True, True, {})
+        q_comult = _comult(quotient_module(m, n), s).holds
+        a = meets_ideal(s, _WITNESS_IDEALS["copure"](n)) is not None
+        b = q_comult and meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is not None
+        c = q_comult and meets_ideal(s, _copure_c_ideal(n)) is not None
+        d = q_comult and meets_ideal(s, _copure_d_ideal(n)) is not None
+        if not a == b == c == d:
+            yield {"submodule": str(n), "a": a, "b": b, "c": c, "d": d}
 
 
-def _t08(inst: Instance):
-    m = inst.module
-    ring = m.ring
-    a = _fully("coidempotent", m, one_multset(ring)).holds
-    # every prime ideal of Z/n, or of a finite product of such rings, is
-    # maximal: the prime and the maximal statements are one fold
-    b = d = True
-    for mx in maximal_ideals(ring):
-        comp = MultSet(ring, frozenset(x for x in ring.elements() if not ideal_contains(mx, x)))
-        holds = _fully("coidempotent", m, comp).holds
-        b = b and holds
-        if s_torsion(m, comp) != full_submodule(m):
-            d = d and holds
-    ok = a == b == d
-    stmts = {"classical": a, "primes": b, "maximals": b, "supported_maximals": d}
-    return _outcome(ok, True, {} if ok else stmts)
+# the facts the law table reads; each looks `_fully`, `_comult`, `_mult` and
+# `_semisimple` up at call time, so a test that patches one reaches every row
+_FACTS = {
+    "coidempotent": lambda m, s: _fully("coidempotent", m, s),
+    "idempotent": lambda m, s: _fully("idempotent", m, s),
+    "pure": lambda m, s: _fully("pure", m, s),
+    "copure": lambda m, s: _fully("copure", m, s),
+    "coidempotent@1": lambda m, s: _fully("coidempotent", m, one_multset(m.ring)),
+    "coidempotent@S*": lambda m, s: _fully("coidempotent", m, saturation(s)),
+    "coidempotent@S2⊇S": _coidempotent_at_supersets,
+    "coidempotent@R∖P": lambda m, s: Verdict(all(
+        _fully("coidempotent", m, c).holds for c in _prime_complements(m.ring))),
+    "coidempotent@R∖P, M_P≠0": lambda m, s: Verdict(all(
+        _fully("coidempotent", m, c).holds for c in _prime_complements(m.ring)
+        if s_torsion(m, c) != full_submodule(m))),
+    "coidempotent M/N": lambda m, s: _none_of(
+        {"by": str(n), "counterexample": str(v.counterexample)}
+        for n in enumerate_submodules(m).all if not (v := _fully("coidempotent", quotient_module(m, n), s)).holds
+    ),
+    "comultiplication": lambda m, s: _comult(m, s),
+    "multiplication": lambda m, s: _mult(m, s),
+    "semisimple": lambda m, s: _semisimple(m, s),
+    "S⊆U(R)": lambda m, s: Verdict(set(s.elements) <= units(m.ring)),
+    "CI are S-summands": lambda m, s: Verdict(all(
+        direct_summand(m, ci, s).holds for ci in enumerate_submodules(m).completely_irreducibles())),
+    "CI coidempotent": lambda m, s: Verdict(first_miss(s, _ci_coidempotent_ideals, m) is None),
+    "pairwise": lambda m, s: Verdict(first_miss(s, _pair_ideals, m) is None),
+    "copure readings agree": lambda m, s: _none_of(_copure_disagreements(m, s)),
+    "S-pure N S-coidempotent": lambda m, s: _none_of(
+        n for n in enumerate_submodules(m).all
+        if meets_ideal(s, _WITNESS_IDEALS["pure"](n)) is not None
+        and meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is None),
+    "sJM ⊆ IM": lambda m, s: _none_of(
+        {"i": str(i), "j": str(j)} for i, j in filter(None, [first_miss(s, _t19_ideals, m)])),
+}
+
+
+def _hold(facts, m: AnyModule, s: MultSet) -> bool:
+    return all(_FACTS[f](m, s).holds for f in facts)
+
+
+def _evaluate(parts, inst: Instance):
+    """A row's (status, vacuous, details): a conclusion is evaluated only where
+    its hypotheses hold; a pass is vacuous where none held and no part is `Agree`.
+    An `Agree` part reads each distinct fact once."""
+    m, s = inst.module, inst.multset
+    details, applicable = {}, False
+    for part in parts:
+        if isinstance(part, Agree):
+            applicable = True
+            holds = {f: _FACTS[f](m, s).holds for f in dict.fromkeys(part.facts)}
+            values = [holds[f] for f in part.facts]
+            if len(set(values)) > 1:
+                details.update(zip(part.keys, values))
+        elif _hold(part.hypotheses, m, s):
+            applicable = True
+            verdict = _FACTS[part.conclusion](m, s)
+            if not verdict.holds:
+                cx = verdict.counterexample
+                details.update(cx if isinstance(cx, dict) else {part.key: str(cx)})
+    return _outcome(not details, applicable, details)
+
+
+def _given(*facts):
+    """A body's hypotheses: where one fails, the law passes vacuously."""
+
+    def gate(body):
+        return lambda inst: body(inst) if _hold(facts, inst.module, inst.multset) else _outcome(True, False, {})
+
+    return gate
+
+
+# -- the checks with bodies ---------------------------------------------------
 
 
 def _t09(inst: Instance):
@@ -370,18 +376,12 @@ def _t11(inst: Instance):
     loc = localize_module(m, s)
     if loc.trivial:
         return _outcome(True, True, {"trivial": True})
-    ring = m.ring
-    zero_src = zero_submodule(m)
-    zero_dst = zero_submodule(loc.module)
-    for i in all_ideals(ring):
-        lhs = loc.map_submodule(colon_into(zero_src, i))
-        rhs = colon_into(zero_dst, loc.map_ideal(i))
-        if lhs != rhs:
+    zero_src, zero_dst = zero_submodule(m), zero_submodule(loc.module)
+    for i in all_ideals(m.ring):
+        if loc.map_submodule(colon_into(zero_src, i)) != colon_into(zero_dst, loc.map_ideal(i)):
             return _outcome(False, True, {"ideal": str(i)})
     for n in enumerate_submodules(m).all:
-        lhs = loc.map_ideal(_ann(n))
-        rhs = annihilator(loc.map_submodule(n))
-        if lhs != rhs:
+        if loc.map_ideal(_ann(n)) != annihilator(loc.map_submodule(n)):
             return _outcome(False, True, {"submodule": str(n)})
     return _outcome(True, True, {})
 
@@ -390,9 +390,8 @@ def _t12(inst: Instance):
     m, s = inst.module, inst.multset
     a = _fully("coidempotent", m, s).holds
     loc = localize_module(m, s)
-    if loc.trivial:
-        ok = a  # S ∋ 0, so both sides must hold (the localized module is zero)
-        return _outcome(ok, True, {} if ok else {"trivial_but_not_fully": True})
+    if loc.trivial:  # S ∋ 0, so both sides must hold (the localized module is zero)
+        return _outcome(a, True, {} if a else {"trivial_but_not_fully": True})
     b = _fully("coidempotent", loc.module, one_multset(loc.ring)).holds
     ok = a == b
     det = {} if ok else {"source": a, "localized": b}
@@ -407,24 +406,6 @@ def _t13(inst: Instance):
         return _outcome(True, True, {"trivial": True})
     b = _fully("coidempotent", loc.module, one_multset(loc.ring)).holds
     return _outcome(b, True, {} if b else {"localized_fails": True})
-
-
-@_given("comultiplication")
-def _t14(inst: Instance):
-    m, s = inst.module, inst.multset
-    for n in enumerate_submodules(m).all:
-        q_comult = _comult(quotient_module(m, n), s).holds
-        a = meets_ideal(s, _WITNESS_IDEALS["copure"](n)) is not None
-        b = q_comult and meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is not None
-        c = q_comult and meets_ideal(s, _copure_c_ideal(n)) is not None
-        d = q_comult and meets_ideal(s, _copure_d_ideal(n)) is not None
-        if not (a == b == c == d):
-            return _outcome(
-                False,
-                True,
-                {"submodule": str(n), "a": a, "b": b, "c": c, "d": d},
-            )
-    return _outcome(True, True, {})
 
 
 def _t16_ideals(m: AnyModule):
@@ -455,41 +436,6 @@ def _t16(inst: Instance):
     return _outcome(False, True, {"k": str(k), "family": [str(n) for n in fam[:4]]})
 
 
-@_given("comultiplication")
-def _t17(inst: Instance):
-    m, s = inst.module, inst.multset
-    applicable = False
-    for n in enumerate_submodules(m).all:
-        if meets_ideal(s, _WITNESS_IDEALS["pure"](n)) is None:
-            continue
-        applicable = True
-        if meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is None:
-            return _outcome(False, True, {"submodule": str(n)})
-    return _outcome(True, applicable, {})
-
-
-def _t19_ideals(m: AnyModule):
-    """T19's list: (IM :_R JM) for each pair of ideals with (0 :_M I) ⊆ (0 :_M J).
-    Every entry is R, so the law cannot fail for any S and tests only the
-    torsion, ideal-action and colon arithmetic: a finite Z/n-module is self-dual
-    (M ≅ M^ = Hom(M, Q/Z), under which (0 :_M^ I) = (IM)^⊥), so the hypothesis
-    reads (IM)^⊥ ⊆ (JM)^⊥, i.e. JM ⊆ IM; products go component by component."""
-    ideals = all_ideals(m.ring)
-    torsions = {i: colon_into(zero_submodule(m), i) for i in ideals}
-    actions = {i: ideal_action(i, full_submodule(m)) for i in ideals}
-    for i, j in itertools.product(ideals, repeat=2):
-        if sub_leq(torsions[i], torsions[j]):
-            yield (i, j), colon_ring(actions[i], actions[j])
-
-
-@_given("comultiplication")
-def _t19(inst: Instance):
-    m, s = inst.module, inst.multset
-    miss = first_miss(s, _t19_ideals, m)
-    det = {} if miss is None else {"i": str(miss[0]), "j": str(miss[1])}
-    return _outcome(miss is None, True, det)
-
-
 # -- the law table --------------------------------------------------------------
 #
 # A law is evidence about S unless its comment calls it engine consistency:
@@ -506,29 +452,47 @@ THEOREMS = (
     Theorem("T02", "fully S-coidempotent implies S-comultiplication", None, (
         Implies(("coidempotent",), "comultiplication", "counterexample", "comultiplication_not_fully_coidempotent"),
     )),
-    Theorem("T03", "with a maximal multiple: fully S-coidempotent iff every completely irreducible submodule is S-coidempotent iff all pairs satisfy s(0 : Ann(N)Ann(K)) inside N+K", 36, _t03),
+    # part (c) is engine consistency: over Z/n, Ann(N) = (a) and Ann(K) = (b),
+    # and in every p-part M[ab] ⊆ M[a²] + M[b²], as v_p(a) + v_p(b) ≤
+    # 2·max(v_p(a), v_p(b)); so the pair list's meet is its diagonal's, and the
+    # diagonal entry (N, N) is N's coidempotent witness ideal
+    Theorem("T03", "with a maximal multiple: fully S-coidempotent iff every completely irreducible submodule is S-coidempotent iff all pairs satisfy s(0 : Ann(N)Ann(K)) inside N+K", 36, (
+        Agree(("coidempotent", "CI coidempotent", "pairwise"), ("fully", "completely_irreducible", "pairwise")),
+    )),
     Theorem("T04", "with a maximal multiple: an S-comultiplication module whose completely irreducible submodules are S-direct summands is fully S-coidempotent; likewise if S-semisimple", 64, (
         Implies(("comultiplication", "CI are S-summands"), "coidempotent", "part_a_counterexample"),
         Implies(("comultiplication", "semisimple"), "coidempotent", "part_b_counterexample"),
     )),
-    Theorem("T05", "fully S1-coidempotent implies fully S2-coidempotent for any larger S2", None, _t05),
+    Theorem("T05", "fully S1-coidempotent implies fully S2-coidempotent for any larger S2", None, (
+        Implies(("coidempotent",), "coidempotent@S2⊇S"),
+    )),
     Theorem("T06", "fully S-coidempotent iff fully coidempotent for the saturation of S", None, (
         Agree(("coidempotent", "coidempotent@S*"), ("plain", "saturated")),
     )),
-    Theorem("T07", "every quotient of a fully S-coidempotent module is fully S-coidempotent", 48, _t07),
-    Theorem("T08", "fully coidempotent iff fully coidempotent at the complement of every prime (equivalently maximal, equivalently supporting maximal) ideal", 200, _t08),
+    Theorem("T07", "every quotient of a fully S-coidempotent module is fully S-coidempotent", 48, (
+        Implies(("coidempotent",), "coidempotent M/N"),
+    )),
+    Theorem("T08", "fully coidempotent iff fully coidempotent at the complement of every prime (equivalently maximal, equivalently supporting maximal) ideal", 200, (
+        Agree(("coidempotent@1", "coidempotent@R∖P", "coidempotent@R∖P", "coidempotent@R∖P, M_P≠0"),
+              ("classical", "primes", "maximals", "supported_maximals")),
+    )),
     Theorem("T09", "submodules of a fully S-coidempotent module are fully S-coidempotent; conversely along an inclusion with tM inside N for some t in S", 48, _t09),
     Theorem("T10", "a product module is fully S-coidempotent iff each factor is, componentwise", None, _t10),
     Theorem("T11", "localization commutes with torsion colons and annihilators", 200, _t11),
     Theorem("T12", "with a maximal multiple: fully S-coidempotent iff the localized module is fully coidempotent", 200, _t12),
     Theorem("T13", "over an S-noetherian ring, fully S-coidempotent carries to the localized module", 200, _t13),
-    Theorem("T14", "in an S-comultiplication module: S-copure iff (quotient S-comultiplication and S-coidempotent) iff the two colon characterizations", 36, _t14),
+    Theorem("T14", "in an S-comultiplication module: S-copure iff (quotient S-comultiplication and S-coidempotent) iff the two colon characterizations", 36, (
+        Implies(("comultiplication",), "copure readings agree"),
+    )),
     Theorem("T15", "fully S-coidempotent implies fully S-copure; with S-comultiplication, fully S-copure implies fully S-coidempotent", None, (
         Implies(("coidempotent",), "copure", "copure_counterexample", "s_copure_not_s_coidempotent"),
         Implies(("comultiplication", "copure"), "coidempotent", "coidempotent_counterexample"),
     )),
     Theorem("T16", "with a maximal multiple, in a fully S-coidempotent module finite and full families satisfy s·inter(N+K) inside inter(N)+K", 12, _t16),
-    Theorem("T17", "an S-pure submodule of an S-comultiplication module is S-coidempotent", 120, _t17),
+    # vacuous exactly where M is not S-comultiplication: 0 is S-pure for every S
+    Theorem("T17", "an S-pure submodule of an S-comultiplication module is S-coidempotent", 120, (
+        Implies(("comultiplication",), "S-pure N S-coidempotent", "submodule"),
+    )),
     # engine consistency: by duality fully S-pure iff fully S-copure, and fully
     # S-idempotent iff fully S-coidempotent, whatever (co)multiplication says
     Theorem("T18", "multiplication/comultiplication transfer between fully S-pure, S-copure, S-idempotent and S-coidempotent", 64, (
@@ -538,7 +502,9 @@ THEOREMS = (
         Implies(("comultiplication", "idempotent"), "coidempotent", "part_d_counterexample"),
     )),
     # engine consistency: cannot fail for any S, by self-duality (`_t19_ideals`)
-    Theorem("T19", "in an S-comultiplication module torsion-colon reversal forces sJM inside IM", 120, _t19),
+    Theorem("T19", "in an S-comultiplication module torsion-colon reversal forces sJM inside IM", 120, (
+        Implies(("comultiplication",), "sJM ⊆ IM"),
+    )),
     # engine consistency: by duality, as T18's parts (c) and (d)
     Theorem("T20", "for S-finite modules fully S-coidempotent and fully S-idempotent agree (S-noetherian for the converse)", None, (
         Agree(("coidempotent", "idempotent"), ("coidempotent", "idempotent")),
@@ -547,10 +513,6 @@ THEOREMS = (
 
 # the implication parts whose converse the report counts, on every instance
 _PROBED = tuple(part for t in THEOREMS if isinstance(t.law, tuple) for part in t.law if isinstance(part, Implies) and part.probe)
-
-
-def theorem_registry() -> tuple[Theorem, ...]:
-    return THEOREMS
 
 
 # -- corpus -------------------------------------------------------------------

@@ -16,6 +16,15 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("default")
 
 
+def child_env() -> dict:
+    """The environment for a child `python -m coidem.cli`: this checkout's
+    `src` first on PYTHONPATH, since pyproject's `pythonpath` reaches only the
+    pytest process itself."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + rest if rest else "")}
+
+
 @pytest.fixture
 def bench_tracing():
     """bench/tracing.py, loaded from its file as the benchmark loads it."""

@@ -20,6 +20,8 @@ from coidem.modules import (
     colon_ring,
     full_submodule,
     ideal_action,
+    quotient_module,
+    s_torsion,
     scalar_submodule,
     sub_intersect,
     sub_leq,
@@ -28,6 +30,7 @@ from coidem.modules import (
 )
 from coidem.multsets import (
     MultSet,
+    closure_in_ring,
     meets_ideal,
     one_multset,
     saturation,
@@ -38,8 +41,10 @@ from coidem.multsets import (
 )
 from coidem.predicates import (
     Verdict,
+    _WITNESS_IDEALS,
     coidempotent_witness_ideal,
     direct_summand,
+    first_miss,
     resolve_multset,
 )
 from coidem.rings import (
@@ -53,6 +58,7 @@ from coidem.rings import (
     ideal_intersect,
     ideal_product,
     is_prime,
+    maximal_ideals,
     unit_ideal,
     units,
 )
@@ -559,12 +565,13 @@ def t16_by_index_families(inst):
 
 # -- law bodies case by case -------------------------------------------------------
 #
-# The theorem bodies as they read before the law table (`theorems.THEOREMS`)
-# and `predicates.first_miss`: every law keeps its own ok / applicable /
-# details bookkeeping, and every list of ideals is scanned one `meets_ideal` at
-# a time.  Hypotheses and (co)multiplication verdicts are read through
+# The theorem bodies as they read before the law table (`theorems.THEOREMS`):
+# every law keeps its own ok / applicable / details bookkeeping.  A list of
+# ideals is scanned one `meets_ideal` at a time, except in the bodies of T03
+# and T19, which read it through `predicates.first_miss` as the table does.
+# Hypotheses and (co)multiplication verdicts are read through
 # `theorems._fully`, `_comult`, `_mult` and `_semisimple`, so a test that
-# patches those reaches these routes and the registry's rows alike.
+# patches those reaches these routes and the table's rows alike.
 
 
 def t01_by_cases(inst):
@@ -695,6 +702,98 @@ def t20_by_cases(inst):
     b = theorems._fully("idempotent", m, s).holds
     det = {} if a == b else {"coidempotent": a, "idempotent": b}
     return theorems._outcome(a == b, True, det)
+
+
+def t03_by_cases(inst):
+    m, s = inst.module, inst.multset
+    a = theorems._fully("coidempotent", m, s).holds
+    b = first_miss(s, theorems._ci_coidempotent_ideals, m) is None
+    c = first_miss(s, theorems._pair_ideals, m) is None
+    ok = a == b == c
+    det = {} if ok else {"fully": a, "completely_irreducible": b, "pairwise": c}
+    return theorems._outcome(ok, True, det)
+
+
+@theorems._given("coidempotent")
+def t05_by_cases(inst):
+    m, s = inst.module, inst.multset
+    extras = [x for x in sorted(m.ring.elements()) if x not in s.elements][:2]
+    supersets = [saturation(s), *(closure_in_ring(m.ring, list(s.elements) + [x]) for x in extras)]
+    for s2 in supersets:
+        if set(s.elements) <= set(s2.elements) and not (v := theorems._fully("coidempotent", m, s2)).holds:
+            return theorems._outcome(False, True, {"superset": str(s2), "counterexample": str(v.counterexample)})
+    return theorems._outcome(True, True, {})
+
+
+@theorems._given("coidempotent")
+def t07_by_cases(inst):
+    m, s = inst.module, inst.multset
+    for n in enumerate_submodules(m).all:
+        v = theorems._fully("coidempotent", quotient_module(m, n), s)
+        if not v.holds:
+            return theorems._outcome(
+                False,
+                True,
+                {"by": str(n), "counterexample": str(v.counterexample)},
+            )
+    return theorems._outcome(True, True, {})
+
+
+def t08_by_cases(inst):
+    m = inst.module
+    ring = m.ring
+    a = theorems._fully("coidempotent", m, one_multset(ring)).holds
+    # every prime ideal of Z/n, or of a finite product of such rings, is
+    # maximal: the prime and the maximal statements are one fold
+    b = d = True
+    for mx in maximal_ideals(ring):
+        comp = MultSet(ring, frozenset(x for x in ring.elements() if not ideal_contains(mx, x)))
+        holds = theorems._fully("coidempotent", m, comp).holds
+        b = b and holds
+        if s_torsion(m, comp) != full_submodule(m):
+            d = d and holds
+    ok = a == b == d
+    stmts = {"classical": a, "primes": b, "maximals": b, "supported_maximals": d}
+    return theorems._outcome(ok, True, {} if ok else stmts)
+
+
+@theorems._given("comultiplication")
+def t14_by_cases(inst):
+    m, s = inst.module, inst.multset
+    for n in enumerate_submodules(m).all:
+        q_comult = theorems._comult(quotient_module(m, n), s).holds
+        a = meets_ideal(s, _WITNESS_IDEALS["copure"](n)) is not None
+        b = q_comult and meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is not None
+        c = q_comult and meets_ideal(s, theorems._copure_c_ideal(n)) is not None
+        d = q_comult and meets_ideal(s, theorems._copure_d_ideal(n)) is not None
+        if not (a == b == c == d):
+            return theorems._outcome(
+                False,
+                True,
+                {"submodule": str(n), "a": a, "b": b, "c": c, "d": d},
+            )
+    return theorems._outcome(True, True, {})
+
+
+@theorems._given("comultiplication")
+def t17_by_cases(inst):
+    m, s = inst.module, inst.multset
+    applicable = False
+    for n in enumerate_submodules(m).all:
+        if meets_ideal(s, _WITNESS_IDEALS["pure"](n)) is None:
+            continue
+        applicable = True
+        if meets_ideal(s, _WITNESS_IDEALS["coidempotent"](n)) is None:
+            return theorems._outcome(False, True, {"submodule": str(n)})
+    return theorems._outcome(True, applicable, {})
+
+
+@theorems._given("comultiplication")
+def t19_by_cases(inst):
+    m, s = inst.module, inst.multset
+    miss = first_miss(s, theorems._t19_ideals, m)
+    det = {} if miss is None else {"i": str(miss[0]), "j": str(miss[1])}
+    return theorems._outcome(miss is None, True, det)
 
 
 def probe_flags(inst) -> dict:

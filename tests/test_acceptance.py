@@ -32,6 +32,7 @@ from coidem.multsets import one_multset
 from coidem.rings import ModularRing, all_ideals, ideal_intersect, ideal_product
 from coidem.theorems import factor_lists, reproduce_examples
 
+from conftest import child_env
 from oracles import ideal_leq, naive_oracle, submodule_elements
 
 MODULI = tuple(range(2, 17))
@@ -75,6 +76,7 @@ def harness_runs(tmp_path_factory):
             capture_output=True,
             text=True,
             timeout=660,
+            env=child_env(),
         )
         elapsed.append(time.monotonic() - start)
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -4,16 +4,18 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 from hypothesis import given, settings, strategies as st
 
-from coidem import cli, predicates, specs
+from coidem import cli, predicates, specs, theorems
 from coidem.cli import VALID_PROPERTIES, main
 from coidem.modules import ZModule
 from coidem.specs import SpecError, parse_module, parse_multset, parse_ring, parse_submodule
+from conftest import child_env
 from oracles import parse_tuple_list_by_depth
 
 
@@ -69,6 +71,11 @@ def test_spec_errors_exit_2(capsys):
         "--s", "fgen:3", "--property", "s-coidempotnt",
     )
     assert code == 2 and "did you mean 's-coidempotent'" in err
+    code, _, err = run_cli(
+        capsys,
+        "check", "--ring", "Z/4", "--module", "Z/4", "--s", "fgen:3", "--property", "fuly-pure",
+    )
+    assert code == 2 and "did you mean 'fully-pure'" in err
     code, _, err = run_cli(
         capsys,
         "check", "--ring", "Z", "--module", "Z", "--s", "nonzero",
@@ -202,7 +209,7 @@ def test_unfactorable_modulus_exits_2_fast():
     for argv in refused + (answered,):
         proc = subprocess.run(
             [sys.executable, "-m", "coidem.cli", *argv],
-            capture_output=True, text=True, timeout=2,
+            capture_output=True, text=True, timeout=2, env=child_env(),
         )
         if argv is answered:
             assert (proc.returncode, proc.stderr) == (0, ""), argv
@@ -243,6 +250,18 @@ def test_verify_small_and_exit_code(tmp_path, capsys):
     assert blob["schema"] == 1
     assert all(r["millis"] is None for r in blob["results"])
     assert set(blob["summary"]) == {"T02", "T12", "T20"}
+
+
+def test_verify_exits_1_when_a_witness_fails_revalidation(capsys, monkeypatch):
+    """A certificate that fails element-level re-validation breaks the run,
+    as a violation does, though every law passes."""
+    monkeypatch.setattr(theorems, "witness_is_sound", lambda *args: False)
+    code, out, _ = run_cli(
+        capsys, "verify", "--moduli", "2", "--max-order", "2", "--no-products", "--theorems", "T02"
+    )
+    checks = re.search(r"witness checks: (\d+) \((\d+) failed\)", out)
+    assert code == 1 and "violations: 0" in out
+    assert checks and checks[1] == checks[2] != "0", out
 
 
 def test_verify_unwritable_out_exits_2_before_any_instance_runs(tmp_path, capsys, monkeypatch):
@@ -440,6 +459,7 @@ def test_console_entrypoint_subprocess():
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == 1

@@ -4,7 +4,7 @@ from math import lcm
 import pytest
 from sympy import divisor_count
 
-from coidem import cli, lattice, modules
+from coidem import cli, intmat, lattice, modules
 from coidem.lattice import LatticeCapExceeded, enumerate_submodules
 from coidem.modules import (
     FinModule,
@@ -85,7 +85,8 @@ def test_counts_closed_forms():
 
 def test_generator_matches_closure_fixpoint():
     """Row-by-row bases equal the closure fixpoint's, on every prime-power
-    shape of order <= 50 in every coordinate order."""
+    shape of order <= 50 in every coordinate order, and each is already its
+    own Hermite form modulo the relations (so the lattice wraps it as is)."""
     shapes = {
         tuple(p**e for e in exps)
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -97,6 +98,8 @@ def test_generator_matches_closure_fixpoint():
     for factors in sorted(shapes):
         bases = lattice._p_component_bases_cached(factors, lattice.DEFAULT_CAP)
         assert sorted(bases) == closure_bases(factors, lattice.DEFAULT_CAP), factors
+        relations = intmat.diagonal(factors)
+        assert all(intmat.hnf_square([*b, *relations], len(factors)) == b for b in bases), factors
 
 
 def test_lattice_contains_extremes_and_closure():

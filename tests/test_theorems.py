@@ -20,8 +20,9 @@ from coidem.multsets import (
     reduce_presentation,
 )
 from coidem.predicates import Verdict
-from coidem.rings import ModularRing, ideal, ideal_meet
+from coidem.rings import ModularRing, ideal, ideal_meet, unit_ideal
 from coidem.theorems import (
+    THEOREMS,
     CorpusConfig,
     Instance,
     factor_lists,
@@ -29,7 +30,6 @@ from coidem.theorems import (
     reproduce_examples,
     run_check,
     s_choices,
-    theorem_registry,
     verify_all,
 )
 
@@ -38,12 +38,19 @@ from oracles import (
     probe_flags,
     t01_by_cases,
     t02_by_cases,
+    t03_by_cases,
     t03_by_scans,
     t04_by_cases,
+    t05_by_cases,
     t06_by_cases,
+    t07_by_cases,
+    t08_by_cases,
+    t14_by_cases,
     t15_by_cases,
     t16_by_index_families,
+    t17_by_cases,
     t18_by_cases,
+    t19_by_cases,
     t19_by_scans,
     t20_by_cases,
 )
@@ -52,9 +59,8 @@ SMALL = CorpusConfig(moduli=(2, 3, 4, 6), max_order=8, include_products=True)
 
 
 def test_registry_shape():
-    registry = theorem_registry()
-    assert [t.id for t in registry] == [f"T{i:02d}" for i in range(1, 21)]
-    assert all(t.anchor for t in registry)
+    assert [t.id for t in THEOREMS] == [f"T{i:02d}" for i in range(1, 21)]
+    assert all(t.anchor for t in THEOREMS)
 
 
 def test_factor_lists():
@@ -147,7 +153,7 @@ def test_t02_converse_probe_example():
     m = module_from_factors(ring, [4])
     s = reduce_presentation(ZComplementOfPrimes((2,)), 4)
     inst = Instance(m, s, "probe-test")
-    registry = {t.id: t for t in theorem_registry()}
+    registry = {t.id: t for t in THEOREMS}
     result = run_check(registry["T02"], inst)
     assert result.status == "pass" and result.vacuous  # hypothesis fails here
     report = verify_all([inst])
@@ -166,7 +172,7 @@ def test_t10_product_example():
     m = product_module(m1, m2)
     s = product_multset(i1.multset, i2.multset)
     inst = Instance(m, s, "product", (i1, i2))
-    registry = {t.id: t for t in theorem_registry()}
+    registry = {t.id: t for t in THEOREMS}
     result = run_check(registry["T10"], inst)
     assert result.status == "pass" and not result.vacuous
 
@@ -174,7 +180,7 @@ def test_t10_product_example():
 def test_size_gate_reports_inapplicable():
     m = FinModule(ModularRing(2), (2,) * 5)
     inst = Instance(m, closure_in_ring(m.ring, [0]), "jumbo")
-    registry = {t.id: t for t in theorem_registry()}
+    registry = {t.id: t for t in THEOREMS}
     result = run_check(registry["T16"], inst)
     assert result.status == "inapplicable"
     assert result.details.get("size_gate") == 12
@@ -213,7 +219,7 @@ def test_t16_computes_each_lattice_pair_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(theorems, name, counted)
-    t16 = {t.id: t for t in theorem_registry()}["T16"]
+    t16 = {t.id: t for t in THEOREMS}["T16"]
     result = run_check(t16, Instance(m, closure_in_ring(ring, [0]), "z60"))
     assert result.status == "pass" and not result.vacuous
     assert set(calls) == {"sub_intersect", "sub_sum", "colon_ring"}
@@ -227,7 +233,7 @@ def test_t16_computes_each_lattice_pair_once(monkeypatch):
 
 def _gated(theorem_id: str):
     """The small corpus's instances inside the theorem's lattice-size gate."""
-    gate = {t.id: t.max_lattice for t in theorem_registry()}[theorem_id]
+    gate = {t.id: t.max_lattice for t in THEOREMS}[theorem_id]
     return [
         inst
         for inst in generate_corpus(SMALL)
@@ -238,7 +244,7 @@ def _gated(theorem_id: str):
 def test_first_miss_matches_the_in_order_scan():
     """Every list of ideals a law reads, on every module and S of the small
     corpus: the query on the intersection names the scan's first miss."""
-    gates = {t.id: t.max_lattice for t in theorem_registry()}
+    gates = {t.id: t.max_lattice for t in THEOREMS}
     lists = [
         (theorems._ci_coidempotent_ideals, gates["T03"]),
         (theorems._pair_ideals, gates["T03"]),
@@ -275,20 +281,25 @@ def test_t03_t19_violations_match_scan_oracles(monkeypatch, request):
     monkeypatch.setattr(theorems, "_comult", lambda m, s: Verdict(True))
     predicates.meet_of.cache_clear()
     request.addfinalizer(predicates.meet_of.cache_clear)
-    for theorem_id, body, oracle in (
-        ("T03", theorems._t03, t03_by_scans),
-        ("T19", theorems._t19, t19_by_scans),
-    ):
+    rows = {t.id: t for t in THEOREMS}
+    for theorem_id, oracle in (("T03", t03_by_scans), ("T19", t19_by_scans)):
         if theorem_id == "T19":
-            for mod in (theorems, oracles):
-                monkeypatch.setattr(mod, "sub_leq", lambda n, k: True)
-            predicates.meet_of.cache_clear()
+            _force_t19_torsion_test(monkeypatch, oracles)
         violations = 0
         for inst in _gated(theorem_id):
-            outcome = body(inst)
+            outcome = rows[theorem_id].run(inst)
             assert outcome == oracle(inst), (theorem_id, inst.label)
             violations += outcome[0] == "violation"
         assert violations > 0, theorem_id
+
+
+def _force_t19_torsion_test(monkeypatch, *more):
+    """Make T19's hypothesis (0 :_M I) ⊆ (0 :_M J) pass every pair of ideals
+    in `theorems` and in each module of `more`, and drop the per-module
+    intersections built before (the finalizer of the caller drops the rest)."""
+    for mod in (theorems, *more):
+        monkeypatch.setattr(mod, "sub_leq", lambda n, k: True)
+    predicates.meet_of.cache_clear()
 
 
 def _patterned(name: str):
@@ -302,7 +313,7 @@ def _patterned(name: str):
     return verdict
 
 
-def test_one_way_laws_match_case_by_case_oracles(monkeypatch):
+def test_one_way_laws_match_case_by_case_oracles(monkeypatch, request):
     """Every row of the law table against its hand-written bookkeeping, and
     the probes read off the table against the hand-written flags, with every
     module-level verdict the rows read holding or failing by a fixed
@@ -312,17 +323,25 @@ def test_one_way_laws_match_case_by_case_oracles(monkeypatch):
     oracle_of = {
         "T01": t01_by_cases,
         "T02": t02_by_cases,
+        "T03": t03_by_cases,
         "T04": t04_by_cases,
+        "T05": t05_by_cases,
         "T06": t06_by_cases,
+        "T07": t07_by_cases,
+        "T08": t08_by_cases,
+        "T14": t14_by_cases,
         "T15": t15_by_cases,
+        "T17": t17_by_cases,
         "T18": t18_by_cases,
+        "T19": t19_by_cases,
         "T20": t20_by_cases,
     }
-    rows = [t for t in theorem_registry() if isinstance(t.law, tuple)]
+    rows = [t for t in THEOREMS if isinstance(t.law, tuple)]
     assert [t.id for t in rows] == list(oracle_of)
+    corpus = generate_corpus(SMALL)
     violations = dict.fromkeys(oracle_of, 0)
     probes = 0
-    for inst in generate_corpus(SMALL):
+    for inst in corpus:
         for row in rows:
             outcome = row.run(inst)
             assert outcome == oracle_of[row.id](inst), (row.id, inst.label)
@@ -330,8 +349,66 @@ def test_one_way_laws_match_case_by_case_oracles(monkeypatch):
         _, (_, flags), _, _ = theorems._worker((inst, [], False, False))
         assert flags == probe_flags(inst), inst.label
         probes += any(flags.values())
+    # T19 cannot fail while its torsion test is true (see the scan-oracle
+    # test above): forced to pass every pair, its list misses for some S
+    request.addfinalizer(predicates.meet_of.cache_clear)
+    _force_t19_torsion_test(monkeypatch)
+    t19 = rows[list(oracle_of).index("T19")]
+    for inst in corpus:
+        outcome = t19.run(inst)
+        assert outcome == t19_by_cases(inst), inst.label
+        violations["T19"] += outcome[0] == "violation"
     assert all(violations.values()), violations
     assert probes
+
+
+def test_bodies_violate_where_their_facts_are_forced(monkeypatch):
+    """T09, T10, T12 and T13 with fully S-coidempotent holding or failing by
+    a fixed pattern on each module and S: every violation return of each
+    body is reached on the small corpus, and nothing else is returned."""
+    monkeypatch.setattr(theorems, "_fully", _patterned("_fully"))
+    expected = {
+        "T09": {
+            ("under_approximation", "closure_counterexample"),
+            ("under_approximation", "transfer_counterexample", "transfer_witness"),
+        },
+        "T10": {("product", "factors")},
+        "T12": {("source", "localized"), ("trivial_but_not_fully",)},
+        "T13": {("localized_fails",)},
+    }
+    rows = {t.id: t for t in THEOREMS}
+    seen = {theorem_id: set() for theorem_id in expected}
+    for inst in generate_corpus(SMALL):
+        for theorem_id, keys in seen.items():
+            status, _, details = rows[theorem_id].run(inst)
+            if status == "violation":
+                keys.add(tuple(details))
+    assert seen == expected
+
+
+def test_t11_violates_where_the_localization_is_forced(monkeypatch):
+    """T11 with a localization that sends every ideal to the unit ideal
+    fails its torsion-colon part, and with an annihilator that is always R
+    on the localized side its annihilator part, on the small corpus."""
+    t11 = {t.id: t for t in THEOREMS}["T11"]
+    corpus = generate_corpus(SMALL)
+    real = theorems.localize_module
+
+    def unit_images(m, s):
+        loc = real(m, s)
+        if not loc.trivial:
+            loc.map_ideal = lambda i: unit_ideal(loc.ring)
+        return loc
+
+    for name, forced, key in (
+        ("localize_module", unit_images, "ideal"),
+        ("annihilator", lambda n: unit_ideal(n.module.ring), "submodule"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, name, forced)
+            outcomes = [t11.run(inst) for inst in corpus]
+        violations = [details for status, _, details in outcomes if status == "violation"]
+        assert violations and all(list(details) == [key] for details in violations), name
 
 
 def test_probes_read_off_the_table_match_the_hand_written_flags():
@@ -352,13 +429,18 @@ def test_probes_read_off_the_table_match_the_hand_written_flags():
 
 def test_pair_list_meet_equals_the_full_pair_scan():
     """T03(c)'s list leaves out the comparable pairs N ⊊ K, whose ideal holds
-    the (K, K) entry's: its meet is the meet over all n(n+1)/2 pairs."""
+    the (K, K) entry's: its meet is the meet over all n(n+1)/2 pairs, and
+    that of the n diagonal entries (N, N) too (the T03 row's comment)."""
     skipped = 0
     for m in {inst.module for inst in _gated("T03")}:
         subs = lattice.enumerate_submodules(m).all
         pairs = list(itertools.combinations_with_replacement(subs, 2))
         every = ideal_meet(m.ring, (theorems._pair_sum_colon_ideal(n, k) for n, k in pairs))
         assert predicates.meet_of(theorems._pair_ideals, m) == every, m
+        # and so is the diagonal's, the meet of the coidempotent witness ideals
+        diagonal = [theorems._pair_sum_colon_ideal(n, n) for n in subs]
+        assert diagonal == [predicates.coidempotent_witness_ideal(n) for n in subs], m
+        assert ideal_meet(m.ring, diagonal) == every, m
         skipped += len(pairs) - len(list(theorems._pair_ideals(m)))
     assert skipped
 
