@@ -6,7 +6,7 @@ between the two is a real check.  None of them is used by the package.
 """
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from math import gcd
 
 from coidem import theorems
@@ -530,6 +530,21 @@ def direct_summand_by_intersection(m, n, s, strict_ds: bool = True) -> Verdict:
                 if sub_sum(n, k) == sm:
                     return Verdict(True, witness=elem, complement=k)
     return Verdict(False)
+
+
+def t16_ideals_with_triples(m):
+    """T16's list with its triples: ((⋂N) + K :_R ⋂(N + K)) for each K and
+    each family of two or three submodules outside K, pairs first at each K.
+    `theorems._t16_ideals` keeps the pairs only; this is the reference its
+    first misses are checked against."""
+    subs = enumerate_submodules(m).all
+    # the lattice is closed under meet and join: at most n² distinct pairs each
+    meet, join, colon = cache(sub_intersect), cache(sub_sum), cache(colon_ring)
+    for k in subs:
+        outside = [n for n in subs if not sub_leq(n, k)]
+        for fam in itertools.chain(*(itertools.combinations(outside, r) for r in (2, 3))):
+            inter_sums = reduce(meet, (join(n, k) for n in fam))
+            yield (k, fam), colon(join(reduce(meet, fam), k), inter_sums)
 
 
 def t16_by_index_families(inst):

@@ -10,6 +10,8 @@ from coidem.modules import (
     FinModule,
     ProductSubmodule,
     module_from_factors,
+    sub_intersect,
+    sub_leq,
     submodule_from_generators,
 )
 from coidem.multsets import (
@@ -20,7 +22,7 @@ from coidem.multsets import (
     reduce_presentation,
 )
 from coidem.predicates import Verdict
-from coidem.rings import ModularRing, ideal, ideal_meet, unit_ideal
+from coidem.rings import ModularRing, ideal, ideal_meet, ideal_product, unit_ideal
 from coidem.theorems import (
     THEOREMS,
     CorpusConfig,
@@ -231,6 +233,43 @@ def test_t16_computes_each_lattice_pair_once(monkeypatch):
     assert not calls, calls
 
 
+def test_t16_triple_ideal_holds_the_product_of_two_pair_ideals():
+    """The lemma behind T16's pair list, with no S: at each K, the ideal of a
+    triple outside K contains W(N1, N2)·W(N1 ∩ N2, N3), so s*² lies in it
+    wherever s* lies in both pair ideals."""
+    triples = 0
+    for m in {inst.module for inst in _gated("T16")}:
+        ideals = dict(oracles.t16_ideals_with_triples(m))
+        for (k, fam), w in ideals.items():
+            if len(fam) < 3:
+                continue
+            n1, n2, n3 = fam
+            n12 = sub_intersect(n1, n2)
+            w2 = ideals.get((k, (n12, n3)), ideals.get((k, (n3, n12))))
+            if w2 is None:
+                # not listed: N1 ∩ N2 ⊆ K or N1 ∩ N2 = N3, and then the ideal is R
+                assert n12 == n3 or sub_leq(n12, k), (m, k, fam)
+                w2 = unit_ideal(m.ring)
+            assert oracles.ideal_leq(ideal_product(ideals[k, (n1, n2)], w2), w), (m, k, fam)
+            triples += 1
+    assert triples
+
+
+def test_t16_pair_list_first_miss_matches_the_triple_list():
+    """On every module and S of the small corpus, the pairs-only list misses
+    first where the list with the triples does, and both miss somewhere."""
+    sets = {}
+    for inst in generate_corpus(SMALL):
+        sets.setdefault(inst.module, []).append(inst.multset)
+    misses = 0
+    for m, multsets_of_m in sets.items():
+        for s in multsets_of_m:
+            miss = predicates.first_miss(s, theorems._t16_ideals, m)
+            assert miss == predicates.first_miss(s, oracles.t16_ideals_with_triples, m), (m, str(s))
+            misses += miss is not None
+    assert misses
+
+
 def _gated(theorem_id: str):
     """The small corpus's instances inside the theorem's lattice-size gate."""
     gate = {t.id: t.max_lattice for t in THEOREMS}[theorem_id]
@@ -437,6 +476,11 @@ def test_pair_list_meet_equals_the_full_pair_scan():
         pairs = list(itertools.combinations_with_replacement(subs, 2))
         every = ideal_meet(m.ring, (theorems._pair_sum_colon_ideal(n, k) for n, k in pairs))
         assert predicates.meet_of(theorems._pair_ideals, m) == every, m
+        # the list is exactly the pairs N = K or N ⊄ K, in lattice order: its
+        # meet alone cannot tell a list without the incomparable ones
+        elements = {n: oracles._elements_of(n) for n in subs}
+        kept = [(n, k) for n, k in pairs if n == k or not elements[n] <= elements[k]]
+        assert [label for label, _ in theorems._pair_ideals(m)] == kept, m
         # and so is the diagonal's, the meet of the coidempotent witness ideals
         diagonal = [theorems._pair_sum_colon_ideal(n, n) for n in subs]
         assert diagonal == [predicates.coidempotent_witness_ideal(n) for n in subs], m
@@ -492,7 +536,8 @@ def test_verify_pool_is_capped_by_cpus_and_instances(monkeypatch):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
-    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # raising=False: os has no sched_getaffinity on macOS and Windows
+    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     corpus = generate_corpus(TINY)
     report = verify_all(corpus, jobs=5000, config=TINY)
     blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
@@ -500,9 +545,16 @@ def test_verify_pool_is_capped_by_cpus_and_instances(monkeypatch):
     assert sizes == [3]
     verify_all(corpus[:2], theorem_ids={"T01"}, jobs=5000)
     assert sizes == [3, 2]
-    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(theorems.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     verify_all(corpus, theorem_ids={"T01"}, jobs=5000)
     assert sizes == [3, 2]  # one usable CPU: no pool at all
+    # no affinity call (macOS, Windows): the CPU count caps the pool
+    monkeypatch.delattr(theorems.os, "sched_getaffinity")
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 3)
+    report = verify_all(corpus, jobs=5000, config=TINY)
+    blob = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(blob.encode()).hexdigest() == TINY_REPORT_SHA256
+    assert sizes == [3, 2, 3]
 
 
 def test_verify_reaches_every_layer_the_harness_benchmark_traces(cold_caches, bench_tracing):
