@@ -227,8 +227,10 @@ def cmd_verify(args) -> int:
         fuzz=args.fuzz,
         seed=args.seed,
     )
-    theorem_ids = _parse_theorem_ids(args.theorems) if args.theorems else None
-    if args.out:
+    theorem_ids = _parse_theorem_ids(args.theorems) if args.theorems is not None else None
+    if args.out is not None:
+        if not args.out:
+            raise SpecError("--out needs a file name, got ''")
         parent = os.path.dirname(os.path.abspath(args.out))
         if os.path.isdir(args.out) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             raise SpecError(f"cannot write --out {args.out}: not a file in a writable directory")
@@ -242,7 +244,7 @@ def cmd_verify(args) -> int:
         config=config,
     )
     blob = _dump(report.to_dict())
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(blob + "\n")

@@ -94,8 +94,10 @@ def rowspan_reduce(h: Matrix, x) -> tuple[list[int], list[int]]:
     """Reduce x against echelon rows h; return (coefficients, remainder)."""
     x = list(x)
     coeffs = []
+    pc = 0
     for row in h:
-        pc = next(i for i, v in enumerate(row) if v)
+        while not row[pc]:  # pivots strictly increase, so resume at the last one
+            pc += 1
         q = x[pc] // row[pc]
         if q:
             x = [a - q * b for a, b in zip(x, row)]

@@ -7,8 +7,9 @@ row by row from the bottom: row i is (0, ..., 0, d, t) with d | f_i and
 (that is, f_i·e_i ∈ L), so every submodule comes out once, already canonical.
 The subgroup lattice of a finite abelian group is the product of the lattices
 of its p-components, so with several primes the p-part lattices are glued.
-Hasse covers come from (N :_M p)/N, one HNF per edge, not from pairwise
-containment; `leq` is the bitmask order built from them.
+Hasse covers come off the same recursion with no linear algebra: a cover of
+N = (d, t; B) keeps d and moves B to a cover B', or keeps B and divides d by p;
+`leq` is the bitmask order built from them.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ from .modules import (
     ProductSubmodule,
     Submodule,
     _submodule,
-    colon_into,
     sub_leq,
 )
-from .intmat import hnf_square
-from .rings import ModularRing, divisors, factorize, ideal
+from .intmat import rowspan_reduce
+from .rings import ModularRing, divisors, factorize
 
 DEFAULT_CAP = 100_000
 
@@ -49,14 +49,15 @@ def _sort_key(sub: AnySubmodule):
 class SubmoduleLattice:
     """The complete submodule lattice, in canonical (order, basis) order."""
 
-    def __init__(self, parent: AnyModule, all_subs: dict, components=()):
-        """all_subs maps each submodule to its parts' indexes in `components`,
-        the lattices this one is the product of (p-components or factors)."""
+    def __init__(self, parent: AnyModule, all_subs: dict, components=(), cap=DEFAULT_CAP):
+        """all_subs maps each submodule to its parts' indexes in `components`, the lattices
+        this one is a product of, or else to its place in `_p_component_bases_cached`."""
         self.parent = parent
         self.all = tuple(sorted(all_subs, key=_sort_key))
         self.index = {sub: i for i, sub in enumerate(self.all)}
         self.components = components
-        self.parts = {all_subs[sub]: i for i, sub in enumerate(self.all)} if components else {}
+        self.cap = cap
+        self.at = {all_subs[sub]: i for i, sub in enumerate(self.all)}
 
     def __len__(self) -> int:
         return len(self.all)
@@ -66,25 +67,16 @@ class SubmoduleLattice:
         """upper_covers[i]: the indexes of the submodules that cover all[i].
 
         In a product of lattices a cover moves one part to one of its covers.
-        Otherwise a cover of N is N + Rx, x spanning a line of the F_p-space
-        (N :_M p)/N; the Hermite rows of (N :_M p) whose pivot differs from N's
-        are a basis of it, so each line costs one HNF."""
+        With one prime p they are `_p_component_covers_cached`'s, whose two
+        cases come from [K:N] = p: K's first pivot is N's or N's divided by p."""
+        if not self.components:
+            covers = _p_component_covers_cached(self.parent.factors, self.cap)
+            return [[self.at[q] for q in covers[pos]] for pos in self.at]
         ups = [[] for _ in self.all]
-        if self.components:
-            for parts, i in self.parts.items():
-                for t, comp in enumerate(self.components):
-                    for u in comp.upper_covers[parts[t]]:
-                        ups[i].append(self.parts[(*parts[:t], u, *parts[t + 1:])])
-            return ups
-        m = self.parent
-        for n, up in zip(self.all, ups):
-            for p in factorize(m.order):
-                colon = colon_into(n, ideal(m.ring, p)).basis
-                gens = [row for i, row in enumerate(colon) if row[i] != n.basis[i][i]]
-                for lead in range(len(gens)):
-                    for cs in itertools.product(range(p), repeat=len(gens) - lead - 1):
-                        x = [sum(c * g[j] for g, c in zip(gens[lead:], (1, *cs))) for j in range(m.rank)]
-                        up.append(self.index[Submodule(m, hnf_square([*n.basis, x], m.rank))])
+        for parts, i in self.at.items():
+            for t, comp in enumerate(self.components):
+                for u in comp.upper_covers[parts[t]]:
+                    ups[i].append(self.at[(*parts[:t], u, *parts[t + 1:])])
         return ups
 
     @cached_property
@@ -136,11 +128,11 @@ class SubmoduleLattice:
         return tuple(self.all[i] for i in self.completely_irreducible_indexes)
 
 
-def _tails(c: int, below) -> list[tuple[int, ...]]:
-    """Every t with 0 <= t_j < h_jj and c·t in the row span of the Hermite basis
-    `below`: column by column, t_j solves c·t_j ≡ -r_j (mod h_jj), r being what
-    the rows chosen so far leave of c·t; gcd(c, h_jj) solutions or none."""
-    partial = [((), (0,) * len(below))]
+def _tails(c: int, below, target=()) -> list[tuple[int, ...]]:
+    """Every t with 0 <= t_j < h_jj and c·t - target in the row span of the
+    Hermite basis `below`: column by column, t_j solves c·t_j ≡ -r_j (mod h_jj),
+    r being what is left of c·t - target; gcd(c, h_jj) solutions or none."""
+    partial = [((), tuple(-x for x in target) or (0,) * len(below))]
     for j, row in enumerate(below):
         h = row[j]
         g = gcd(c, h)
@@ -180,6 +172,31 @@ def _p_component_bases_cached(factors: tuple[int, ...], cap: int):
     return out
 
 
+@cache
+def _p_component_covers_cached(factors: tuple[int, ...], cap: int):
+    """covers[i]: the places in `_p_component_bases_cached(factors, cap)` of the
+    bases covering basis i, for a p-group.  N = (d, t; B), B its tail basis, and
+    a cover K has index p: either K = (d, t mod B'; B') for a cover B' of B, or
+    p | d and K = (d/p, t'; B) with p·t' ≡ t mod B, which `_tails` lists."""
+    if not factors:
+        return [[]]
+    f, p = factors[0], min(factorize(factors[0]))
+    tails = _p_component_bases_cached(factors[1:], cap)
+    tail_covers = _p_component_covers_cached(factors[1:], cap)
+    at = {}  # (tail place, d, t) -> place, walked in the order the bases are built
+    for b, below in enumerate(tails):
+        for d in divisors(f):
+            for t in _tails(f // d, below):
+                at[b, d, t] = len(at)
+    covers = []
+    for b, d, t in at:
+        up = [at[c, d, tuple(rowspan_reduce(tails[c], t)[1])] for c in tail_covers[b]]
+        if d % p == 0:
+            up += [at[b, d // p, s] for s in _tails(p, tails[b], t)]
+        covers.append(up)
+    return covers
+
+
 def _product_lattice(m: AnyModule, comps, cap: int, make) -> SubmoduleLattice:
     """The product of the lattices `comps`; make(parts) builds each submodule."""
     if prod(map(len, comps)) > cap:
@@ -197,8 +214,8 @@ def _modular_lattice(m: FinModule, cap: int) -> SubmoduleLattice:
         for p, e in factorize(d).items():
             per_prime.setdefault(p, []).append((i, p**e))
     if len(per_prime) < 2:
-        bases = _p_component_bases_cached(m.factors, cap)
-        return SubmoduleLattice(m, {Submodule(m, b): () for b in bases})  # each basis is its own HNF
+        bases = _p_component_bases_cached(m.factors, cap)  # each basis is its own HNF
+        return SubmoduleLattice(m, {Submodule(m, b): i for i, b in enumerate(bases)}, cap=cap)
     coords = [per_prime[p] for p in sorted(per_prime)]
     qs = [tuple(q for _, q in c) for c in coords]
     comps = [enumerate_submodules(FinModule(ModularRing(max(q)), q), cap) for q in qs]

@@ -14,6 +14,7 @@ from coidem.intmat import hnf_square, in_rowspan
 from coidem.lattice import LatticeCapExceeded, enumerate_submodules
 from coidem.modules import (
     ProductSubmodule,
+    Submodule,
     ZModule,
     annihilator,
     colon_into,
@@ -54,6 +55,8 @@ from coidem.rings import (
     UnsupportedRingError,
     all_ideals,
     element_of,
+    factorize,
+    ideal,
     ideal_contains,
     ideal_intersect,
     ideal_product,
@@ -321,6 +324,27 @@ def leq_by_pairs(lat):
         [i == j or (orders[j] % orders[i] == 0 and sub_leq(a, b)) for j, b in enumerate(subs)]
         for i, a in enumerate(subs)
     ]
+
+
+def upper_covers_by_colon(lat) -> list[set[int]]:
+    """The indexes covering each lat.all[i] of a module over Z/n, by linear
+    algebra: a cover of N is N + Rx, x spanning a line of the F_p-space
+    (N :_M p)/N, whose basis is the Hermite rows of (N :_M p) with a pivot
+    other than N's; one HNF per line.  A different route to the covers
+    `SubmoduleLattice.upper_covers` reads off the row-by-row enumeration."""
+    m = lat.parent
+    ups = []
+    for n in lat.all:
+        up = set()
+        for p in factorize(m.order):
+            colon = colon_into(n, ideal(m.ring, p)).basis
+            gens = [row for i, row in enumerate(colon) if row[i] != n.basis[i][i]]
+            for lead in range(len(gens)):
+                for cs in itertools.product(range(p), repeat=len(gens) - lead - 1):
+                    x = [sum(c * g[j] for g, c in zip(gens[lead:], (1, *cs))) for j in range(m.rank)]
+                    up.add(lat.index[Submodule(m, hnf_square([*n.basis, x], m.rank))])
+        ups.append(up)
+    return ups
 
 
 def torsion_by_scan(m, s: MultSet) -> set:

@@ -265,8 +265,9 @@ def test_verify_exits_1_when_a_witness_fails_revalidation(capsys, monkeypatch):
 
 
 def test_verify_unwritable_out_exits_2_before_any_instance_runs(tmp_path, capsys, monkeypatch):
-    """A missing parent directory or an existing directory is refused before
-    the corpus is built; a write that fails anyway is an error, not a traceback."""
+    """A missing parent directory, an existing directory or an empty name is
+    refused before the corpus is built; a write that fails anyway is an error,
+    not a traceback."""
 
     def never(*args, **kwargs):
         raise AssertionError("the run started")
@@ -279,6 +280,8 @@ def test_verify_unwritable_out_exits_2_before_any_instance_runs(tmp_path, capsys
             code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
             assert code == 2 and out == "" and err.count("\n") == 1, err
             assert err.startswith(f"error: cannot write --out {out_path}: "), err
+        code, out, err = run_cli(capsys, *argv, "--out", "")
+        assert (code, out) == (2, "") and err == "error: --out needs a file name, got ''\n"
 
     def full_disk(*args, **kwargs):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -298,12 +301,13 @@ def test_verify_empty_corpus(capsys):
 
 
 def test_verify_argument_errors_exit_2(capsys):
-    """Unknown theorem ids, --jobs, --max-order or --fuzz out of range, a fuzz
-    draw with no module."""
+    """Unknown or no theorem ids (an empty --theorems is not "all"), --jobs,
+    --max-order or --fuzz out of range, a fuzz draw with no module."""
     code, out, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", "T02,T99")
     assert code == 2 and not out and "T99" in err and "T01" in err and "T20" in err
-    code, _, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", ",")
-    assert code == 2 and "valid ids" in err
+    for ids in (",", ""):
+        code, out, err = run_cli(capsys, "verify", "--moduli", "2", "--theorems", ids)
+        assert code == 2 and not out and "no theorem id" in err and "valid ids" in err
     for flag, value in (
         ("--jobs", "0"), ("--jobs", "-1"), ("--fuzz", "-1"), ("--max-order", "-4"),
         ("--max-order", "0"),

@@ -18,7 +18,13 @@ from coidem.modules import (
 from coidem.rings import ModularRing, factorize
 from coidem.theorems import factor_lists
 
-from oracles import closure_bases, leq_by_pairs, naive_oracle, submodule_elements
+from oracles import (
+    closure_bases,
+    leq_by_pairs,
+    naive_oracle,
+    submodule_elements,
+    upper_covers_by_colon,
+)
 
 Z12 = ModularRing(12)
 Z4 = ModularRing(4)
@@ -137,7 +143,9 @@ def test_cap_is_honoured_above_the_default(monkeypatch):
     monkeypatch.setattr(lattice, "_memory_cache", {})
     monkeypatch.setattr(lattice, "DEFAULT_CAP", 10)
     m = FinModule(Z2, (2,) * 4)
-    assert len(enumerate_submodules(m, cap=1000)) == 67
+    lat = enumerate_submodules(m, cap=1000)
+    # the covers index the bases the lattice was built from, under its own cap
+    assert len(lat) == 67 and len(lat.covers) == 240
     lattice._memory_cache.clear()
     with pytest.raises(LatticeCapExceeded):
         enumerate_submodules(m, cap=10)
@@ -175,15 +183,72 @@ def test_every_submodule_is_meet_of_its_ci_decomposition():
 
 
 def test_covers_make_no_pairwise_containment_test(monkeypatch):
-    """Covers come from (N :_M p)/N, so building them on (Z/2)^5 asks
-    `sub_leq` nothing: the n² containment table cannot come back unnoticed."""
+    """Covers are read off the row-by-row enumeration, so building them on
+    (Z/2)^5 asks `sub_leq` nothing and makes no HNF: neither the n²
+    containment table nor one HNF per edge can come back unnoticed."""
     monkeypatch.setattr(lattice, "_memory_cache", {})
+    lattice._p_component_covers_cached.cache_clear()
+    lat = enumerate_submodules(FinModule(Z2, (2,) * 5))
     calls = []
     for mod in (modules, lattice):
         if hasattr(mod, "sub_leq"):
-            monkeypatch.setattr(mod, "sub_leq", lambda n, k: calls.append(1) or True)
-    assert len(enumerate_submodules(FinModule(Z2, (2,) * 5)).covers) == 2077
+            monkeypatch.setattr(mod, "sub_leq", lambda n, k: calls.append("sub_leq") or True)
+    hnf = intmat.hnf
+    monkeypatch.setattr(intmat, "hnf", lambda *args: calls.append("hnf") or hnf(*args))
+    assert len(lat.covers) == 2077
     assert not calls
+
+
+def test_upper_covers_match_the_colon_route(monkeypatch):
+    """The covers read off the enumeration equal the ones found by linear
+    algebra in (N :_M p)/N, on every single-prime shape of order <= 256 with
+    at most 1000 submodules and on (Z/2)^6, each over two rings."""
+    monkeypatch.setattr(lattice, "_memory_cache", {})
+    shapes = sorted({f for n in range(2, 257) for f in factor_lists(n, 256)})
+    shapes = [f for f in shapes if len(factorize(lcm(*f))) == 1]
+    assert len(shapes) == 147
+    checked = set()
+    for f, cap in [*((f, 1000) for f in shapes), ((2,) * 6, lattice.DEFAULT_CAP)]:
+        for n in (lcm(*f), 6 * lcm(*f)):
+            try:
+                lat = enumerate_submodules(FinModule(ModularRing(n), f), cap=cap)
+            except LatticeCapExceeded:
+                continue
+            assert [set(up) for up in lat.upper_covers] == upper_covers_by_colon(lat), (f, n)
+            checked.add(f)
+    assert len(checked) == 134 and (3,) * 4 in checked and (2,) * 6 in checked
+
+
+def test_elementary_abelian_cover_counts():
+    """(Z/p)^k has [k choose j]_p subspaces of dimension j, each covered by
+    [k-j choose 1]_p, for p in {2, 3, 5} and k <= 5."""
+    for p in (2, 3, 5):
+        for k in range(6):
+            covers = lattice._p_component_covers_cached((p,) * k, lattice.DEFAULT_CAP)
+            assert sum(map(len, covers)) == sum(
+                _gaussian_binomial(k, j, p) * _gaussian_binomial(k - j, 1, p) for j in range(k)
+            ), (p, k)
+    lattice._p_component_covers_cached.cache_clear()  # (Z/5)^5 has 874,720 covers
+
+
+def test_lattice_path_leaves_the_colon_memo_alone(capsys, cold_caches):
+    """`enumerate --hasse` computes no colon, so it adds nothing to the colon
+    memo: the lattice path used to fill it with entries it never read."""
+    before = modules._colon_basis.cache_info()
+    for ring, module in (("Z/2", "+".join(["Z/2"] * 6)), ("Z/4096", "Z/1024+Z/4096")):
+        assert cli.main(["enumerate", "--ring", ring, "--module", module, "--hasse", "--json"]) == 0
+    capsys.readouterr()
+    assert modules._colon_basis.cache_info() == before
+
+
+def test_covers_are_built_once_per_shape(cold_caches):
+    """The shape (2, 2, 2) over Z/2, Z/4 and Z/6 builds its covers once: one
+    miss for it and one for each of its tails (2, 2), (2,) and ()."""
+    for n in (2, 4, 6):
+        lat = enumerate_submodules(FinModule(ModularRing(n), (2, 2, 2)))
+        assert len(lat.covers) == 1 * 7 + 7 * 3 + 7 * 1
+    info = lattice._p_component_covers_cached.cache_info()
+    assert (info.misses, info.hits) == (4, 2)
 
 
 def _pair_modules():

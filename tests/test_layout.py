@@ -66,3 +66,25 @@ def test_every_definition_is_used_or_exported():
             if mentions[name] - Counter(_names(node))[name] <= 0:
                 unused.append(f"{fname}:{node.lineno} {name}")
     assert not unused, "defined but never used in src/coidem: " + ", ".join(unused)
+
+
+def test_every_import_is_used():
+    """Each name a module of `src/coidem` imports is named again in that module,
+    so a helper's last caller cannot leave its import behind.  `__init__.py`
+    imports only to export, and is the export list the test above reads."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        named = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in named]
+    assert not unused, "imported but never used: " + ", ".join(unused)
