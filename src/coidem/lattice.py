@@ -180,14 +180,13 @@ def _p_component_covers_cached(factors: tuple[int, ...], cap: int):
     p | d and K = (d/p, t'; B) with p·t' ≡ t mod B, which `_tails` lists."""
     if not factors:
         return [[]]
-    f, p = factors[0], min(factorize(factors[0]))
+    p = min(factorize(factors[0]))
     tails = _p_component_bases_cached(factors[1:], cap)
     tail_covers = _p_component_covers_cached(factors[1:], cap)
-    at = {}  # (tail place, d, t) -> place, walked in the order the bases are built
-    for b, below in enumerate(tails):
-        for d in divisors(f):
-            for t in _tails(f // d, below):
-                at[b, d, t] = len(at)
+    tail_at = {tuple((0, *row) for row in below): b for b, below in enumerate(tails)}
+    # (tail place, d, t) -> place, read off the bases in the order they were built
+    at = {(tail_at[basis[1:]], basis[0][0], basis[0][1:]): i
+          for i, basis in enumerate(_p_component_bases_cached(factors, cap))}
     covers = []
     for b, d, t in at:
         up = [at[c, d, tuple(rowspan_reduce(tails[c], t)[1])] for c in tail_covers[b]]

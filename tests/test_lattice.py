@@ -183,19 +183,18 @@ def test_every_submodule_is_meet_of_its_ci_decomposition():
 
 
 def test_covers_make_no_pairwise_containment_test(monkeypatch):
-    """Covers are read off the row-by-row enumeration, so building them on
-    (Z/2)^5 asks `sub_leq` nothing and makes no HNF: neither the n²
-    containment table nor one HNF per edge can come back unnoticed."""
+    """Covers are read off the row-by-row enumeration, so enumerating (Z/2)^5
+    and building its covers asks `sub_leq` nothing and makes no HNF: neither
+    the n² containment table nor one HNF per edge can come back unnoticed."""
     monkeypatch.setattr(lattice, "_memory_cache", {})
     lattice._p_component_covers_cached.cache_clear()
-    lat = enumerate_submodules(FinModule(Z2, (2,) * 5))
     calls = []
     for mod in (modules, lattice):
         if hasattr(mod, "sub_leq"):
             monkeypatch.setattr(mod, "sub_leq", lambda n, k: calls.append("sub_leq") or True)
     hnf = intmat.hnf
     monkeypatch.setattr(intmat, "hnf", lambda *args: calls.append("hnf") or hnf(*args))
-    assert len(lat.covers) == 2077
+    assert len(enumerate_submodules(FinModule(Z2, (2,) * 5)).covers) == 2077
     assert not calls
 
 
