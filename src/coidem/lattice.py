@@ -27,10 +27,9 @@ from .modules import (
     ProductModule,
     ProductSubmodule,
     Submodule,
-    _submodule,
     sub_leq,
 )
-from .intmat import rowspan_reduce
+from .intmat import diagonal, hnf_square, rowspan_reduce
 from .rings import ModularRing, divisors, factorize
 
 DEFAULT_CAP = 100_000
@@ -225,7 +224,7 @@ def _modular_lattice(m: FinModule, cap: int) -> SubmoduleLattice:
             for row in part.basis:
                 wide = {i: x * (m.factors[i] // q) for (i, q), x in zip(coord, row)}
                 rows.append([wide.get(j, 0) for j in range(m.rank)])
-        return _submodule(m, rows)
+        return Submodule(m, hnf_square([*rows, *diagonal(m.factors)], m.rank))  # built once: no memo
 
     return _product_lattice(m, comps, cap, glue)
 

@@ -7,11 +7,14 @@ basis.  Sums, intersections, ideal action, both colon operators, annihilators,
 quotients and torsion all become exact integer linear algebra; localization
 is a closed form in the maximal multiple of S (see `LocalizedModule`).
 
-R acts on M through Z/e, e = lcm(d_i), so both colons and `scalar_submodule`
-(hence `ideal_action`, `annihilator`) are memoized on integer keys shared over
-every ring: (factors, basis of N, gcd(d, e)), (basis of N, basis of K) and
-(gcd(s, e), factors, basis of N).  Sums and intersections are not: that saved
-2 % of the harness time for +15 % RSS; caching `intmat.hnf` cost 40 % RSS.
+R acts on M through Z/e, e = lcm(d_i), so the operators are memoized on
+integer keys shared over every ring: both colons on (factors, basis of N,
+gcd(d, e)) and (basis of N, basis of K), `scalar_submodule` (hence
+`ideal_action`, `annihilator`) on (gcd(s, e), factors, basis of N), the
+Hermite basis of `_submodule` (sums, localized images) on (factors, rows),
+`sub_intersect` on (basis of N, basis of K, rank) and invariant factors on
+their rows.  `intmat.hnf` is not memoized (+40 % RSS on the lattice path,
+which builds its glued bases, each once, with `hnf_square` directly).
 
 Over a product ring a module is a tuple of component modules and every
 submodule decomposes componentwise, so the operators act coordinatewise.
@@ -193,8 +196,13 @@ AnySubmodule = Submodule | ProductSubmodule
 
 
 def _submodule(m: FinModule, rows) -> Submodule:
-    basis = intmat.hnf_square([*rows, *intmat.diagonal(m.factors)], m.rank)
-    return Submodule(m, basis)
+    return Submodule(m, _hermite_basis(m.factors, tuple(rows)))
+
+
+@cache
+def _hermite_basis(factors, rows) -> Matrix:
+    """The Hermite basis of rows + diag(factors), once per integer key."""
+    return intmat.hnf_square([*rows, *intmat.diagonal(factors)], len(factors))
 
 
 def submodule_from_generators(m: AnyModule, gens) -> AnySubmodule:
@@ -246,8 +254,13 @@ def sub_intersect(n: AnySubmodule, k: AnySubmodule) -> AnySubmodule:
         return ProductSubmodule(
             n.module, tuple(sub_intersect(a, b) for a, b in zip(n.parts, k.parts))
         )
-    basis = intmat.lattice_intersect(n.basis, k.basis, n.module.rank)
-    return Submodule(n.module, basis)
+    return Submodule(n.module, _intersect_basis(n.basis, k.basis, n.module.rank))
+
+
+@cache
+def _intersect_basis(n_basis, k_basis, k: int) -> Matrix:
+    """Looks `intmat.lattice_intersect` up per miss, so a tracer wrapping it sees each."""
+    return intmat.lattice_intersect(n_basis, k_basis, k)
 
 
 def sub_leq(n: AnySubmodule, k: AnySubmodule) -> bool:
@@ -327,6 +340,7 @@ def annihilator(n: AnySubmodule) -> Ideal:
     return colon_ring(zero_submodule(n.module), n)
 
 
+@cache
 def _invariant_factors(rows) -> tuple[int, ...]:
     """Invariant factors of Z^k / rowspan(rows), rows a full-rank k×k matrix."""
     s = intmat.smith_normal_form(rows)
@@ -350,7 +364,7 @@ def submodule_as_module(n: Submodule) -> FinModule:
     of C express the relation rows D in the H_N basis.
     """
     m = n.module
-    c_rows = [intmat.rowspan_coords(n.basis, rel) for rel in intmat.diagonal(m.factors)]
+    c_rows = tuple(tuple(intmat.rowspan_coords(n.basis, rel)) for rel in intmat.diagonal(m.factors))
     return FinModule(m.ring, _invariant_factors(c_rows))
 
 

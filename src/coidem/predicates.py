@@ -38,6 +38,7 @@ from .lattice import enumerate_submodules
 from .modules import (
     AnyModule,
     AnySubmodule,
+    FinModule,
     ProductSubmodule,
     Submodule,
     ZModule,
@@ -121,12 +122,12 @@ def _rebased(n: AnySubmodule) -> AnySubmodule:
 
 
 def _over_exponent_ring(body):
-    """`body` cached, run once per module shape on N re-based onto Z/e."""
+    """`body` cached, run once per module shape on its submodules re-based onto Z/e."""
     @cache
     @wraps(body)
-    def witness_ideal(n: AnySubmodule) -> Ideal:
-        base = _rebased(n)
-        return body(n) if base == n else ideal(n.module.ring, witness_ideal(base).data)
+    def witness_ideal(*subs: AnySubmodule) -> Ideal:
+        base = tuple(map(_rebased, subs))
+        return body(*subs) if base == subs else ideal(subs[0].module.ring, witness_ideal(*base).data)
 
     return witness_ideal
 
@@ -235,7 +236,10 @@ def copure(m: AnyModule, n, s: AnyMultSet) -> Verdict:
 
 @cache
 def meet_of(ideals_of, m: AnyModule) -> Ideal:
-    """The intersection of the (label, ideal) pairs `ideals_of(m)` lists, once per module."""
+    """The intersection of the (label, ideal) pairs `ideals_of(m)` lists, once per
+    shape: a `FinModule`'s is taken over Z/e and pulled back, as witness ideals are."""
+    if isinstance(m, FinModule) and m.factors and m != (base := _exponent_module(m.factors)):
+        return ideal(m.ring, meet_of(ideals_of, base).data)
     return ideal_meet(m.ring, (w for _, w in ideals_of(m)))
 
 

@@ -22,12 +22,13 @@ converses of T01's forward part, of T02 and of T15's forward part.
 Checks quadratic in the lattice size, and T16's pair list, cubic, carry
 lattice-size gates so the default corpus stays inside its time budget; gated
 instances report as inapplicable with a size_gate detail.  Witness ideals that
-do not depend on S are built once: those of one submodule (or of one pair, for
-T03) are cached per submodule, and each list that a single s must serve (T03,
-T16, T19 and every fully-* or (co)multiplication check) is cached per module as
-its intersection by `predicates.meet_of`.  Re-checking the same module under
-another S costs one `meets_ideal` per list; only a miss walks its list again,
-and the colons it repeats are answered from the memoized `modules` operators.
+do not depend on S are built once per shape, on the module re-based onto Z/e:
+those of one submodule (or pair, for T03) are cached per submodule, and each
+list that a single s must serve (T03, T16, T19 and every fully-* or
+(co)multiplication check) is cached as its intersection by
+`predicates.meet_of`.  Re-checking a shape under another S or ring costs one
+`meets_ideal` per list; only a miss walks the instance's own list, and the
+colons it repeats are answered from the memoized `modules` operators.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .predicates import (
     semisimple,
     witness_is_sound,
     _WITNESS_IDEALS,
+    _over_exponent_ring,
 )
 from .rings import (
     Ideal,
@@ -110,14 +112,14 @@ _fully, _comult, _mult, _semisimple, _ann = map(
     cache, (fully, comultiplication, multiplication, semisimple, annihilator))
 
 
-@cache
+@_over_exponent_ring
 def _pair_sum_colon_ideal(n: AnySubmodule, k: AnySubmodule) -> Ideal:
     """The T03(c) witness ideal ((N + K) :_R (0 :_M Ann(N)Ann(K)))."""
     torsion = colon_into(zero_submodule(n.module), ideal_product(_ann(n), _ann(k)))
     return colon_ring(sub_sum(n, k), torsion)
 
 
-@cache
+@_over_exponent_ring
 def _copure_c_ideal(n: AnySubmodule) -> Ideal:
     """The T14(c) witness ideal: meet over K containing N of (K :_R (N :_M Ann(K)))."""
     subs = enumerate_submodules(n.module).all
@@ -125,7 +127,7 @@ def _copure_c_ideal(n: AnySubmodule) -> Ideal:
     return ideal_meet(n.module.ring, colons)
 
 
-@cache
+@_over_exponent_ring
 def _copure_d_ideal(n: AnySubmodule) -> Ideal:
     """The T14(d) witness ideal: meet over all K of ((N :_M (N :_R K)) :_R (N :_M Ann(K)))."""
     subs = enumerate_submodules(n.module).all

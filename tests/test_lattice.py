@@ -231,13 +231,19 @@ def test_elementary_abelian_cover_counts():
 
 
 def test_lattice_path_leaves_the_colon_memo_alone(capsys, cold_caches):
-    """`enumerate --hasse` computes no colon, so it adds nothing to the colon
-    memo: the lattice path used to fill it with entries it never read."""
-    before = modules._colon_basis.cache_info()
-    for ring, module in (("Z/2", "+".join(["Z/2"] * 6)), ("Z/4096", "Z/1024+Z/4096")):
+    """`enumerate --hasse` computes no colon, sum, intersection or Smith form,
+    so it adds nothing to those memos: the lattice path used to fill the colon
+    memo with entries it never read, and the glued mixed-prime module Z/6+Z/36
+    builds its Hermite bases with `hnf_square`, once each, off the sum memo."""
+    memos = (modules._colon_basis, modules._hermite_basis, modules._intersect_basis,
+             modules._invariant_factors)
+    before = [memo.cache_info() for memo in memos]
+    for ring, module in (
+        ("Z/2", "+".join(["Z/2"] * 6)), ("Z/4096", "Z/1024+Z/4096"), ("Z/36", "Z/6+Z/36"),
+    ):
         assert cli.main(["enumerate", "--ring", ring, "--module", module, "--hasse", "--json"]) == 0
     capsys.readouterr()
-    assert modules._colon_basis.cache_info() == before
+    assert [memo.cache_info() for memo in memos] == before
 
 
 def test_covers_are_built_once_per_shape(cold_caches):

@@ -370,13 +370,15 @@ def test_product_module_ops_are_componentwise():
 
 
 def test_memoized_operators_match_element_scans(cold_caches):
-    """`colon_into`, `colon_ring` and `ideal_action` are memoized on integer
-    keys (factors, Hermite bases, generators reduced mod the exponent e); on
-    every module over Z/n of order at most 16 and two product modules, each
-    agrees with an element scan for all N, K and every ideal I, and a repeated
-    call with an equal (not identical) key returns the very basis first
-    built, or for `colon_ring` is a hit of the generator memo with no new
-    miss.  The same shape over Z/2, Z/4 and Z/8 shares those stored values."""
+    """`colon_into`, `colon_ring`, `ideal_action`, `sub_sum` and
+    `sub_intersect` are memoized on integer keys (factors, Hermite bases,
+    generators reduced mod the exponent e); on every module over Z/n of order
+    at most 16 and two product modules, each agrees with an element scan for
+    all N, K and every ideal I (a sum is the additive closure of N ∪ K, an
+    intersection the common elements), and a repeated call with an equal (not
+    identical) key returns the very basis first built, or for `colon_ring` is
+    a hit of the generator memo with no new miss.  The same shape over Z/2,
+    Z/4 and Z/8 shares those stored values."""
     # from cold caches, (2, 2) over Z/2, Z/4 and Z/8: an ideal (d) acts as
     # (gcd(d, 2)), so equal keys across the rings return the identical stored
     # basis, and every lifted colon_ring is a generator-memo hit, no new miss
@@ -434,6 +436,11 @@ def test_memoized_operators_match_element_scans(cold_caches):
                 scan = frozenset(r for r, rk in scaled[k] if rk <= in_n)
                 assert ideal_elems[found] == scan, (m, n, k)
                 assert _memo_hit(modules._colon_generator, colon_ring, twin, k) == found
+                total, meet = sub_sum(n, k), sub_intersect(n, k)
+                assert elems.get(total) == _additive_closure(m, in_n | elems[k]), (m, n, k)
+                assert elems.get(meet) == in_n & elems[k], (m, n, k)
+                assert _shares_bases(_memo_hit(modules._hermite_basis, sub_sum, twin, k), total)
+                assert _shares_bases(_memo_hit(modules._intersect_basis, sub_intersect, twin, k), meet)
 
 
 def _memo_hit(memo, f, *args):

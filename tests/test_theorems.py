@@ -616,6 +616,106 @@ def test_colon_into_computes_each_canonical_key_once(monkeypatch, cold_caches):
     assert modules._colon_generator.cache_info().misses == len(ring_shape) < len(ring_ring)
 
 
+def test_module_memos_compute_each_integer_key_once(monkeypatch, cold_caches):
+    """From cold caches, `verify_all` on TINY misses the sum, intersection and
+    Smith memos once per distinct integer key: (factors, rows) for the Hermite
+    basis every `_submodule` builds, (basis of N, basis of K, rank) for
+    `sub_intersect` and the relation rows for `quotient_module` and
+    `submodule_as_module`.  Z/4 repeats modules of Z/2, so each memo misses
+    fewer times than there are distinct calls over their rings."""
+    sums, sum_keys, meets, meet_keys, smiths, smith_keys = (set() for _ in range(6))
+    build, intersect, factors_of = modules._submodule, modules.sub_intersect, modules._invariant_factors
+    quotient, as_module = modules.quotient_module, modules.submodule_as_module
+
+    def recorded_build(m, rows):
+        sums.add((m, tuple(rows)))
+        sum_keys.add((m.factors, tuple(rows)))
+        return build(m, rows)
+
+    def recorded_intersect(n, k):
+        meets.add((n, k))
+        parts = zip(n.parts, k.parts) if isinstance(n, ProductSubmodule) else [(n, k)]
+        meet_keys.update((a.basis, b.basis, a.module.rank) for a, b in parts)
+        return intersect(n, k)
+
+    def recorded_factors(rows):
+        smith_keys.add(rows)
+        return factors_of(rows)
+
+    def recorded_quotient(m, n):
+        smiths.add((m, n))
+        return quotient(m, n)
+
+    def recorded_as_module(n):
+        smiths.add(n)
+        return as_module(n)
+
+    wrappers = (
+        (build, recorded_build), (intersect, recorded_intersect), (factors_of, recorded_factors),
+        (quotient, recorded_quotient), (as_module, recorded_as_module),
+    )
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "coidem":
+            for attr, value in list(vars(mod).items()):
+                for real, wrapper in wrappers:
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    report = verify_all(generate_corpus(TINY), config=TINY)
+    assert not report.violations
+    assert modules._hermite_basis.cache_info().misses == len(sum_keys) < len(sums)
+    assert modules._intersect_basis.cache_info().misses == len(meet_keys) < len(meets)
+    assert factors_of.cache_info().misses == len(smith_keys) < len(smiths)
+
+
+def test_theorem_ideal_memos_run_once_per_shape(cold_caches):
+    """T03's pair colon, T14's two copure ideals and `meet_of` run their
+    bodies once per module shape: (2, 2) over Z/2, Z/4 and Z/6 acts through
+    Z/2, so each key over Z/4 or Z/6 is one miss answered by a hit on the
+    Z/2 entry, and a list is built only over Z/2."""
+    mods = [FinModule(ModularRing(n), (2, 2)) for n in (4, 2, 6)]
+    subs = [lattice.enumerate_submodules(m).all for m in mods]
+    pairs = [list(itertools.combinations_with_replacement(ss, 2)) for ss in subs]
+    for memo, keys in (
+        (theorems._pair_sum_colon_ideal, pairs),
+        (theorems._copure_c_ideal, [[(n,) for n in ss] for ss in subs]),
+        (theorems._copure_d_ideal, [[(n,) for n in ss] for ss in subs]),
+    ):
+        found = [[memo(*key) for key in per_ring] for per_ring in keys]
+        for m, ideals in zip(mods, found):
+            assert [i.data for i in ideals] == [i.data for i in found[1]] and ideals[0].ring == m.ring
+        k = len(keys[0])
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (3 * k, 2 * k), memo
+    built = []
+    for ideals_of in (theorems._pair_ideals, theorems._t16_ideals, theorems._t19_ideals):
+        def counted(m):
+            built.append(m)
+            return ideals_of(m)
+
+        meets = [predicates.meet_of(counted, m) for m in mods]
+        assert [w.ring for w in meets] == [m.ring for m in mods]
+        assert len({w.data for w in meets}) == 1
+    assert built == [mods[1]] * 3
+
+
+def test_exponent_ring_meets_equal_the_instance_ring_meets():
+    """On every `SMALL` module, each list `meet_of` serves has the same meet
+    over the instance's ring as the Z/e meet that `meet_of` pulls back; seven
+    of the 15 modules over Z/n have exponent e < n, such as (2, 2, 2) over Z/6."""
+    lists = [predicates._lattice_witness_ideals(prop) for prop in predicates._WITNESS_IDEALS]
+    lists += [
+        theorems._ci_coidempotent_ideals, theorems._pair_ideals, theorems._t16_ideals,
+        theorems._t19_ideals,
+    ]
+    mods = {inst.module for inst in generate_corpus(SMALL)}
+    rebased = 0
+    for m in mods:
+        for ideals_of in lists:
+            direct = ideal_meet(m.ring, (w for _, w in ideals_of(m)))
+            assert predicates.meet_of(ideals_of, m) == direct, (m, ideals_of)
+        rebased += isinstance(m, FinModule) and m.ring.n != lcm(*m.factors)
+    assert (len(mods), rebased) == (31, 7)
+
+
 # the same corpus with its 16 product instances, which TINY leaves out: their
 # 48 T11–T13 rows are the ones that localize over a product ring
 TINY_PRODUCTS = CorpusConfig(moduli=(2, 3, 4), max_order=8, include_products=True)
